@@ -28,7 +28,8 @@
 //!
 //! ```
 //! use tcast::{AdversaryConfig, AdversaryModel, ChannelSpec, CollisionModel,
-//!             DefensePolicy, ExecutionProfile, ThresholdQuerier, TwoTBins, population};
+//!             DefensePolicy, EngineScratch, ExecutionProfile, ThresholdQuerier, TwoTBins,
+//!             population};
 //! use rand::rngs::SmallRng;
 //! use rand::SeedableRng;
 //!
@@ -40,9 +41,10 @@
 //!
 //! let (mut channel, _truth) = tcast_adversary::build_with_truth(&spec);
 //! let mut rng = SmallRng::seed_from_u64(42);
-//! let report = TwoTBins.run_with_options(
+//! let report = TwoTBins.run_with_profile(
 //!     &population(128), 16, &mut channel, &mut rng,
-//!     ExecutionProfile::new().with_defense(spec.defense).options());
+//!     ExecutionProfile::new().with_defense(spec.defense),
+//!     &mut EngineScratch::new());
 //! assert!(report.anomalies > 0, "the canary catches an always-on jammer");
 //! ```
 

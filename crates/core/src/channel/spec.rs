@@ -123,7 +123,8 @@ pub struct ChannelSpec {
     /// builders panic on it rather than silently dropping the adversary.
     pub adversary: Option<AdversaryConfig>,
     /// Verdict-hardening defenses executors should run sessions with.
-    /// Plain data like `retry`: passed to the engine via `RunOptions`.
+    /// Plain data like `retry`: folded into the same
+    /// [`crate::ExecutionProfile`].
     pub defense: DefensePolicy,
 }
 

@@ -10,8 +10,9 @@
 use rand::{Rng, RngCore};
 
 use crate::abns::{Abns, InitialEstimate};
+use crate::batch::EngineScratch;
 use crate::channel::GroupQueryChannel;
-use crate::engine::RunOptions;
+use crate::profile::ExecutionProfile;
 use crate::querier::ThresholdQuerier;
 use crate::retry::RetryPolicy;
 use crate::twotbins::TwoTBins;
@@ -47,15 +48,16 @@ impl ThresholdQuerier for ProbAbns {
         "ProbABNS"
     }
 
-    fn run_with_options(
+    fn run_with_profile(
         &self,
         nodes: &[NodeId],
         t: usize,
         channel: &mut dyn GroupQueryChannel,
         rng: &mut dyn RngCore,
-        options: RunOptions,
+        profile: ExecutionProfile,
+        scratch: &mut EngineScratch,
     ) -> QueryReport {
-        let retry = options.retry;
+        let retry = profile.retry;
         // Degenerate thresholds are decided without probing.
         if t == 0 {
             return QueryReport::trivial(true);
@@ -139,22 +141,20 @@ impl ThresholdQuerier for ProbAbns {
             budget: retry.budget.map(|b| b.saturating_sub(probe_retries)),
             ..retry
         };
-        let inner_options = RunOptions {
-            retry: inner_retry,
-            defense: options.defense,
-        };
+        let inner_profile = profile.with_retry(inner_retry);
         let mut report = if probe_silent {
             // Likely x < t/2: ABNS seeded with p0 = t/4.
-            Abns::with_p0(InitialEstimate::Fixed(t as f64 / 4.0)).run_with_options(
+            Abns::with_p0(InitialEstimate::Fixed(t as f64 / 4.0)).run_with_profile(
                 &inner_nodes,
                 t,
                 channel,
                 rng,
-                inner_options,
+                inner_profile,
+                scratch,
             )
         } else {
             // Likely x > t/2: 2tBins is near-oracle in this regime.
-            TwoTBins.run_with_options(&inner_nodes, t, channel, rng, inner_options)
+            TwoTBins.run_with_profile(&inner_nodes, t, channel, rng, inner_profile, scratch)
         };
 
         report.queries += probe_cost;

@@ -166,18 +166,19 @@ impl ThresholdQuerier for ProbabilisticQuerier {
     /// algorithms this may answer incorrectly (by design) with probability
     /// bounded by the Chernoff analysis; `t` is ignored in favour of the
     /// configured mode boundaries, and the [`crate::RetryPolicy`] and
-    /// [`crate::DefensePolicy`] are ignored entirely — the decision never
+    /// [`crate::DefensePolicy`] are ignored entirely (as is the scratch) — the decision never
     /// eliminates nodes, so there is no silence to verify, and its
     /// verdict is statistical rather than evidence-counting. The report
     /// summarizes all probes as one aggregate round so its accounting
     /// invariants hold.
-    fn run_with_options(
+    fn run_with_profile(
         &self,
         nodes: &[NodeId],
         _t: usize,
         channel: &mut dyn GroupQueryChannel,
         rng: &mut dyn RngCore,
-        _options: crate::engine::RunOptions,
+        _profile: crate::ExecutionProfile,
+        _scratch: &mut crate::EngineScratch,
     ) -> QueryReport {
         let d = self.decide(nodes, channel, rng);
         QueryReport {

@@ -10,7 +10,7 @@ use rand::RngCore;
 
 use crate::batch::EngineScratch;
 use crate::channel::GroupQueryChannel;
-use crate::engine::{self, drive, ChannelMut, RoundStats, RunOptions, Session};
+use crate::engine::{self, ChannelMut, RoundStats, Session};
 use crate::profile::ExecutionProfile;
 use crate::querier::ThresholdQuerier;
 use crate::types::{NodeId, QueryReport};
@@ -32,24 +32,6 @@ impl ThresholdQuerier for TwoTBins {
         "2tBins"
     }
 
-    fn run_with_options(
-        &self,
-        nodes: &[NodeId],
-        t: usize,
-        channel: &mut dyn GroupQueryChannel,
-        rng: &mut dyn RngCore,
-        options: RunOptions,
-    ) -> QueryReport {
-        drive(
-            nodes,
-            t,
-            ChannelMut::Single(channel),
-            rng,
-            options,
-            self.policy(),
-        )
-    }
-
     fn run_with_profile(
         &self,
         nodes: &[NodeId],
@@ -64,7 +46,7 @@ impl ThresholdQuerier for TwoTBins {
             t,
             ChannelMut::Single(channel),
             rng,
-            profile.options(),
+            profile,
             scratch,
             self.policy(),
         )

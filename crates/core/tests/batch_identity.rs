@@ -15,8 +15,8 @@ use rand::SeedableRng;
 use tcast::codec::WireEncode;
 use tcast::engine::ChannelMut;
 use tcast::{
-    population, Abns, BatchRunner, ChannelSpec, CollisionModel, ExecutionProfile, ExpIncrease,
-    LossConfig, OracleBins, ProbAbns, RetryPolicy, ThresholdQuerier, TwoTBins,
+    population, Abns, BatchRunner, ChannelSpec, CollisionModel, EngineScratch, ExecutionProfile,
+    ExpIncrease, LossConfig, OracleBins, ProbAbns, RetryPolicy, ThresholdQuerier, TwoTBins,
 };
 
 fn spec(n: usize, x: usize, lossy: bool, seed: u64) -> ChannelSpec {
@@ -79,8 +79,8 @@ proptest! {
 
                 let (mut ch, _) = s.build_with_truth();
                 let mut rng = SmallRng::seed_from_u64(q_seed);
-                let serial = alg.run_with_options(
-                    &population(n), t, ch.as_mut(), &mut rng, profile.options());
+                let serial = alg.run_with_profile(
+                    &population(n), t, ch.as_mut(), &mut rng, profile, &mut EngineScratch::new());
 
                 prop_assert_eq!(
                     &batched, &serial,
@@ -125,8 +125,8 @@ proptest! {
 
             let (mut ch, _) = s.build_with_truth();
             let mut rng = SmallRng::seed_from_u64(q_seed);
-            let serial = TwoTBins.run_with_options(
-                &population(n), t, ch.as_mut(), &mut rng, profile.options());
+            let serial = TwoTBins.run_with_profile(
+                &population(n), t, ch.as_mut(), &mut rng, profile, &mut EngineScratch::new());
             prop_assert_eq!(answer, serial.answer, "verdict diverged at {}", i);
             serial.encode(&mut expected);
         }

@@ -1,35 +1,23 @@
 //! Contract properties of the unified `engine::drive` entrypoint.
 //!
-//! These began life as equivalence proofs against the four deprecated
-//! `run_with_policy*` wrappers; with the wrappers removed (their
-//! equivalence held across thousands of proptest cases), the same
-//! machinery now pins down `drive` itself:
+//! The properties pin down `drive` itself:
 //!
 //! 1. **Determinism**: identical inputs (nodes, threshold, channel spec,
-//!    seeds, policy, retry options) produce bit-identical reports, for
-//!    both channel flavours.
-//! 2. **Options equivalence**: `RunOptions::retrying(RetryPolicy::none())`
-//!    behaves exactly like `RunOptions::new()` — the retry layer is
-//!    strictly pay-for-what-you-use.
-//! 3. **Replayability**: every one of the seven exact algorithms runs on
+//!    seeds, policy, execution profile) produce bit-identical reports,
+//!    for both channel flavours.
+//! 2. **Replayability**: every one of the seven exact algorithms runs on
 //!    `drive` internally, and replaying the per-round bin counts recorded
 //!    in its trace through a raw `drive` call reproduces the exact same
 //!    report — the trace is a complete account of the policy's decisions.
-
-// This suite deliberately drives the deprecated per-field setters
-// (`RunOptions::retrying`, `run_with_retry`): they must stay equivalent to
-// the profile-based API until removed. New code goes through
-// `ExecutionProfile` — see `profile_compat.rs`.
-#![allow(deprecated)]
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use tcast::engine::{drive, ChannelMut, RunOptions, Session};
+use tcast::engine::{drive, ChannelMut, Session};
 use tcast::{
-    population, Abns, ChannelSpec, CollisionModel, ExpIncrease, LossConfig, OracleBins,
-    QueryReport, RetryPolicy, RoundStats, ThresholdQuerier, TwoTBins,
+    population, Abns, ChannelSpec, CollisionModel, EngineScratch, ExecutionProfile, ExpIncrease,
+    LossConfig, OracleBins, QueryReport, RetryPolicy, RoundStats, ThresholdQuerier, TwoTBins,
 };
 
 /// A small family of policies spanning the shapes real algorithms use:
@@ -68,9 +56,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Two sequential `drive` calls with identical inputs are
-    /// bit-identical, and a no-op retry policy changes nothing.
+    /// bit-identical.
     #[test]
-    fn sequential_drive_is_deterministic_and_retry_none_is_free(
+    fn sequential_drive_is_deterministic(
         n in 1usize..64,
         x_frac in 0.0f64..=1.0,
         t in 0usize..70,
@@ -88,7 +76,7 @@ proptest! {
             t,
             ChannelMut::Single(ch_a.as_mut()),
             &mut rng_a,
-            RunOptions::retrying(retry),
+            ExecutionProfile::new().with_retry(retry),
             policy(kind),
         );
 
@@ -99,25 +87,10 @@ proptest! {
             t,
             ChannelMut::Single(ch_b.as_mut()),
             &mut rng_b,
-            RunOptions::retrying(retry),
+            ExecutionProfile::new().with_retry(retry),
             policy(kind),
         );
         prop_assert_eq!(&first, &second);
-
-        if !lossy {
-            // RetryPolicy::none() above must equal the plain defaults.
-            let (mut ch_c, _) = spec(n, x, lossy, seed).build_with_truth();
-            let mut rng_c = SmallRng::seed_from_u64(seed);
-            let defaults = drive(
-                &population(n),
-                t,
-                ChannelMut::Single(ch_c.as_mut()),
-                &mut rng_c,
-                RunOptions::new(),
-                policy(kind),
-            );
-            prop_assert_eq!(&first, &defaults);
-        }
         first.assert_consistent();
     }
 
@@ -149,7 +122,7 @@ proptest! {
             t,
             ChannelMut::paired(&mut ch_a),
             &mut rng_a,
-            RunOptions::retrying(retry),
+            ExecutionProfile::new().with_retry(retry),
             policy(kind),
         );
 
@@ -160,7 +133,7 @@ proptest! {
             t,
             ChannelMut::paired(&mut ch_b),
             &mut rng_b,
-            RunOptions::retrying(retry),
+            ExecutionProfile::new().with_retry(retry),
             policy(kind),
         );
 
@@ -197,8 +170,14 @@ proptest! {
         for alg in algorithms {
             let (mut ch, _) = s.build_with_truth();
             let mut rng = SmallRng::seed_from_u64(seed);
-            let original =
-                alg.run_with_retry(&population(n), t, ch.as_mut(), &mut rng, retry);
+            let original = alg.run_with_profile(
+                &population(n),
+                t,
+                ch.as_mut(),
+                &mut rng,
+                ExecutionProfile::new().with_retry(retry),
+                &mut EngineScratch::new(),
+            );
 
             // Policy rounds are the trace entries that actually queried
             // bins; verification episodes (queried_bins == 0) happen
@@ -218,7 +197,7 @@ proptest! {
                 t,
                 ChannelMut::Single(ch.as_mut()),
                 &mut rng,
-                RunOptions::retrying(retry),
+                ExecutionProfile::new().with_retry(retry),
                 |_, _| replay.next().expect("replay ran out of rounds"),
             );
             prop_assert_eq!(

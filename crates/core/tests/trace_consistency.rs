@@ -21,8 +21,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use tcast::{
-    population, Abns, ChannelSpec, CollisionModel, ExecutionProfile, ExpIncrease, LossConfig,
-    OracleBins, ProbAbns, RetryPolicy, ThresholdQuerier, TwoTBins,
+    population, Abns, ChannelSpec, CollisionModel, EngineScratch, ExecutionProfile, ExpIncrease,
+    LossConfig, OracleBins, ProbAbns, RetryPolicy, ThresholdQuerier, TwoTBins,
 };
 use tcast_obs::{add_sink, check_nesting, scoped_trace, MemorySink, Record, RecordKind, TraceId};
 
@@ -79,12 +79,13 @@ proptest! {
             let mut rng = SmallRng::seed_from_u64(seed);
             let report = {
                 let _scope = scoped_trace(trace);
-                alg.run_with_options(
+                alg.run_with_profile(
                     &population(n),
                     t,
                     ch.as_mut(),
                     &mut rng,
-                    ExecutionProfile::new().with_retry(retry).options(),
+                    ExecutionProfile::new().with_retry(retry),
+                    &mut EngineScratch::new(),
                 )
             };
             report.assert_consistent();

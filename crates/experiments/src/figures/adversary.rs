@@ -37,7 +37,7 @@ use rand::rngs::SmallRng;
 
 use tcast::{
     population, Abns, AdversaryConfig, AdversaryModel, ChannelSpec, CollisionModel, DefensePolicy,
-    ExecutionProfile, ExpIncrease, QueryReport, RetryPolicy, RunOptions, ThresholdQuerier,
+    EngineScratch, ExecutionProfile, ExpIncrease, QueryReport, RetryPolicy, ThresholdQuerier,
     TwoTBins,
 };
 
@@ -114,15 +114,21 @@ fn session(
         },
     );
     let (mut ch, _truth) = tcast_adversary::sample_with(&channel_spec, rng);
-    let options = if defended {
+    let profile = if defended {
         ExecutionProfile::new()
             .with_retry(RetryPolicy::verified(2))
             .with_defense(DefensePolicy::hardened())
-            .options()
     } else {
-        RunOptions::new()
+        ExecutionProfile::new()
     };
-    algorithm(alg).run_with_options(&population(spec.n), spec.t, ch.as_mut(), rng, options)
+    algorithm(alg).run_with_profile(
+        &population(spec.n),
+        spec.t,
+        ch.as_mut(),
+        rng,
+        profile,
+        &mut EngineScratch::new(),
+    )
 }
 
 /// 1.0 when the verdict is wrong AND no anomaly was flagged.

@@ -25,8 +25,8 @@
 use rand::rngs::SmallRng;
 
 use tcast::{
-    population, ChannelSpec, CollisionModel, ExecutionProfile, LossConfig, QueryReport,
-    RetryPolicy, ThresholdQuerier, TwoTBins,
+    population, ChannelSpec, CollisionModel, EngineScratch, ExecutionProfile, LossConfig,
+    QueryReport, RetryPolicy, ThresholdQuerier, TwoTBins,
 };
 
 use crate::output::Figure;
@@ -47,14 +47,13 @@ fn session(miss_mille: usize, spec: SweepSpec, retries: u32, rng: &mut SmallRng)
     };
     let channel = ChannelSpec::lossy(spec.n, spec.t, CollisionModel::OnePlus, loss);
     let (mut ch, _) = channel.sample_with(rng);
-    TwoTBins.run_with_options(
+    TwoTBins.run_with_profile(
         &population(spec.n),
         spec.t,
         ch.as_mut(),
         rng,
-        ExecutionProfile::new()
-            .with_retry(RetryPolicy::verified(retries))
-            .options(),
+        ExecutionProfile::new().with_retry(RetryPolicy::verified(retries)),
+        &mut EngineScratch::new(),
     )
 }
 

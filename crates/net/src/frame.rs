@@ -1,4 +1,4 @@
-//! The versioned, CRC-checked binary wire protocol.
+//! The CRC-checked binary wire protocol.
 //!
 //! Every frame is laid out as:
 //!
@@ -6,7 +6,7 @@
 //! offset  size  field
 //! 0       4     magic "TCQW" (0x54 0x43 0x51 0x57)
 //! 4       1     frame type
-//! 5       1     protocol version (1; ignored on Hello, see below)
+//! 5       1     protocol version (PROTOCOL_VERSION; ignored on Hello)
 //! 6       8     request id, u64 LE (0 when not request-scoped)
 //! 14      4     payload length, u32 LE
 //! 18      len   payload (type-specific, see `codec` in tcast core)
@@ -18,33 +18,24 @@
 //! payload: a flipped bit anywhere in the frame is rejected before any
 //! payload field is interpreted.
 //!
-//! ## Version negotiation
+//! ## Version check
 //!
-//! A connection opens with the client's [`Frame::Hello`] carrying the
-//! inclusive `[min_version, max_version]` range it speaks. The server
-//! answers [`Frame::HelloAck`] with the highest version both sides
-//! support, or an [`ErrorCode::UnsupportedVersion`] error frame and
-//! closes. The header's version byte is checked on every subsequent
-//! frame but deliberately *ignored on Hello*, so a future client can
-//! still open negotiation with a server that only speaks version 1.
+//! One protocol version exists, [`PROTOCOL_VERSION`]. A connection opens
+//! with the client's [`Frame::Hello`] carrying the inclusive
+//! `[min_version, max_version]` range it speaks. The server answers
+//! [`Frame::HelloAck`] with [`PROTOCOL_VERSION`] when the range contains
+//! it, or an [`ErrorCode::UnsupportedVersion`] error frame and closes.
+//! Every other frame must carry [`PROTOCOL_VERSION`] in its header. The
+//! header byte is deliberately *ignored on Hello*, so a peer speaking
+//! another version still reaches the typed rejection.
 //!
-//! Four versions exist. [`PROTOCOL_V2`] extends `Submit` with a
-//! trailing trace id ([`tcast_obs::TraceId`]) so one query's
-//! observability trace spans client, wire, and server. [`PROTOCOL_V3`]
-//! appends a priority-class byte after the trace id, letting a client
-//! mark a submit High/Normal/Low for the server's weighted-fair
-//! scheduler. [`PROTOCOL_V4`] appends a parent span id and a sampling
-//! flag ([`tcast_obs::SpanContext`]) after the priority byte, so the
-//! server's `service.execute` span parents under the submitter's span
-//! (e.g. the cluster route span) and one fan-out query forms a single
-//! connected trace tree; every other payload is identical across
-//! versions.
-//! Frames are *self-describing*: the header byte states the version the
-//! frame was encoded with, and receivers accept any supported version on
-//! any frame, so only the sender of a `Submit` needs to remember what
-//! was negotiated (a V2 `Submit` must not be sent to a V1-only peer).
-//! The `MetricsDump`/`MetricsText` pair was introduced alongside V2 but
-//! is gated by frame type, not version, as are the `Auth`/`AuthOk` pair.
+//! `Submit` carries, after the job's spec, its trace id
+//! ([`tcast_obs::TraceId`]), a priority-class byte
+//! ([`tcast_tenant::Priority`]) for the server's weighted-fair scheduler,
+//! and the submitter's span context ([`tcast_obs::SpanContext`]: parent
+//! span id and sampling flag), so the server's `service.execute` span
+//! parents under the submitter's span (e.g. the cluster route span) and
+//! one fan-out query forms a single connected trace tree.
 //!
 //! ## Authentication
 //!
@@ -76,22 +67,8 @@ use crate::crc::crc32;
 /// Frame magic: "TCQW" (Threshold-Cast Query Wire).
 pub const MAGIC: [u8; 4] = *b"TCQW";
 
-/// The baseline protocol version.
-pub const PROTOCOL_V1: u8 = 1;
-
-/// Protocol version 2: `Submit` carries a trailing trace id for
-/// end-to-end observability.
-pub const PROTOCOL_V2: u8 = 2;
-
-/// Protocol version 3: `Submit` additionally carries a trailing
-/// priority-class byte ([`tcast_tenant::Priority`]).
-pub const PROTOCOL_V3: u8 = 3;
-
-/// Protocol version 4: `Submit` additionally carries a trailing parent
-/// span context ([`tcast_obs::SpanContext`]: parent span id + sampling
-/// flag) for cross-tier trace stitching. The highest version this build
-/// speaks.
-pub const PROTOCOL_V4: u8 = 4;
+/// The protocol version this build speaks, and the only one it accepts.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Fixed header size in bytes (magic + type + version + request id + length).
 pub const HEADER_LEN: usize = 18;
@@ -129,7 +106,7 @@ pub enum ErrorCode {
     /// sender of this error closes the connection afterwards (framing is
     /// no longer trustworthy).
     Malformed,
-    /// No overlap between the peers' protocol version ranges.
+    /// The client's version range does not contain [`PROTOCOL_VERSION`].
     UnsupportedVersion,
     /// The server is draining and accepts no new requests.
     ShuttingDown,
@@ -185,18 +162,18 @@ impl std::fmt::Display for ErrorCode {
 /// One protocol frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Client → server: opens version negotiation with the inclusive
-    /// range of protocol versions the client speaks.
+    /// Client → server: opens the handshake with the inclusive range of
+    /// protocol versions the client speaks.
     Hello {
         /// Lowest version the client accepts.
         min_version: u8,
         /// Highest version the client accepts.
         max_version: u8,
     },
-    /// Server → client: negotiation result — the version both sides will
-    /// speak for the rest of the connection.
+    /// Server → client: the handshake succeeded — the client's range
+    /// contains [`PROTOCOL_VERSION`].
     HelloAck {
-        /// The agreed protocol version.
+        /// The connection's protocol version ([`PROTOCOL_VERSION`]).
         version: u8,
         /// Present iff the server requires authentication: a fresh
         /// per-connection nonce the client must MAC in its
@@ -263,7 +240,7 @@ pub enum Frame {
     /// Client → server: drain up to `max_traces` completed,
     /// tail-sampled trace trees from the server's trace collector.
     /// Drained traces are consumed — two subscribers see disjoint
-    /// traces. Like `MetricsDump`, gated by frame type, not version.
+    /// traces.
     TraceExport {
         /// Client-chosen id echoed on the [`Frame::TraceData`] answer.
         request_id: u64,
@@ -295,8 +272,8 @@ pub enum MalformedFrame {
         /// CRC carried in the trailer.
         received: u32,
     },
-    /// The header named a protocol version this build does not speak
-    /// (on a non-Hello frame).
+    /// A non-Hello frame's header named a protocol version other than
+    /// [`PROTOCOL_VERSION`].
     Version(u8),
     /// The header named an unknown frame type.
     UnknownType(u8),
@@ -371,7 +348,7 @@ impl Frame {
         }
     }
 
-    fn encode_payload(&self, out: &mut Vec<u8>, version: u8) {
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Hello {
                 min_version,
@@ -389,7 +366,7 @@ impl Frame {
                 out.extend_from_slice(mac);
             }
             Frame::AuthOk => {}
-            Frame::Submit { job, .. } => encode_job(job, out, version),
+            Frame::Submit { job, .. } => encode_job(job, out),
             Frame::JobOk { report, .. } => report.encode(out),
             Frame::JobFailed { error, .. } => match error {
                 JobError::Panicked(msg) => {
@@ -416,47 +393,31 @@ impl Frame {
         }
     }
 
-    /// Serializes the frame at protocol version 1 — see
-    /// [`Frame::to_bytes_versioned`].
+    /// Serializes the frame to its full wire representation (header,
+    /// payload, CRC trailer).
     ///
     /// # Panics
     ///
     /// Panics if the payload exceeds `u32::MAX` bytes, which no legal
     /// frame can reach.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_versioned(PROTOCOL_V1)
-    }
-
-    /// Serializes the frame to its full wire representation (header,
-    /// payload, CRC trailer) at `version`.
-    ///
-    /// The version byte is stamped in the header and shapes the payload
-    /// of version-sensitive frames (`Submit` carries its trace id only
-    /// from [`PROTOCOL_V2`] on). Senders must not exceed the version the
-    /// peer negotiated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload exceeds `u32::MAX` bytes, which no legal
-    /// frame can reach.
-    pub fn to_bytes_versioned(&self, version: u8) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + 64);
-        self.encode_into(&mut out, version);
+        self.encode_into(&mut out);
         out
     }
 
-    /// Appends the frame's full wire representation (header, payload, CRC
-    /// trailer) at `version` to `out` — the zero-copy sibling of
-    /// [`Frame::to_bytes_versioned`]: many frames encode back to back
-    /// into one outbound buffer with no intermediate allocations.
+    /// Appends the frame's full wire representation to `out` — the
+    /// zero-copy sibling of [`Frame::to_bytes`]: many frames encode back
+    /// to back into one outbound buffer with no intermediate
+    /// allocations.
     ///
     /// # Panics
     ///
     /// Panics if the payload exceeds `u32::MAX` bytes, which no legal
     /// frame can reach.
-    pub fn encode_into(&self, out: &mut Vec<u8>, version: u8) {
-        encode_frame_into(out, version, self.type_byte(), self.request_id(), |out| {
-            self.encode_payload(out, version)
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_frame_into(out, self.type_byte(), self.request_id(), |out| {
+            self.encode_payload(out)
         });
     }
 
@@ -465,13 +426,8 @@ impl Frame {
     /// borrowed report into the connection's outbound buffer, without
     /// materializing a [`Frame`] (which would clone the report).
     /// Byte-identical to `Frame::JobOk { .. }.encode_into(..)`.
-    pub fn encode_job_ok_into(
-        out: &mut Vec<u8>,
-        version: u8,
-        request_id: u64,
-        report: &QueryReport,
-    ) {
-        encode_frame_into(out, version, frame_type::JOB_OK, request_id, |out| {
+    pub fn encode_job_ok_into(out: &mut Vec<u8>, request_id: u64, report: &QueryReport) {
+        encode_frame_into(out, frame_type::JOB_OK, request_id, |out| {
             report.encode(out)
         });
     }
@@ -505,7 +461,7 @@ impl Frame {
         if received != computed {
             return Err(MalformedFrame::BadCrc { computed, received });
         }
-        if frame_type != frame_type::HELLO && !(PROTOCOL_V1..=PROTOCOL_V4).contains(&version) {
+        if frame_type != frame_type::HELLO && version != PROTOCOL_VERSION {
             return Err(MalformedFrame::Version(version));
         }
         let mut r = Reader::new(&bytes[HEADER_LEN..body_end]);
@@ -531,7 +487,7 @@ impl Frame {
             frame_type::AUTH_OK => Frame::AuthOk,
             frame_type::SUBMIT => Frame::Submit {
                 request_id,
-                job: decode_job(&mut r, version).map_err(MalformedFrame::Payload)?,
+                job: decode_job(&mut r).map_err(MalformedFrame::Payload)?,
             },
             frame_type::JOB_OK => Frame::JobOk {
                 request_id,
@@ -598,7 +554,6 @@ impl Frame {
 /// to the frame's own base (so frames stack in one buffer).
 fn encode_frame_into(
     out: &mut Vec<u8>,
-    version: u8,
     type_byte: u8,
     request_id: u64,
     payload: impl FnOnce(&mut Vec<u8>),
@@ -606,7 +561,7 @@ fn encode_frame_into(
     let base = out.len();
     out.extend_from_slice(&MAGIC);
     out.push(type_byte);
-    out.push(version);
+    out.push(PROTOCOL_VERSION);
     put_u64(out, request_id);
     put_u32(out, 0); // payload length backpatched below
     payload(out);
@@ -617,7 +572,7 @@ fn encode_frame_into(
     put_u32(out, crc);
 }
 
-fn encode_job(job: &QueryJob, out: &mut Vec<u8>, version: u8) {
+fn encode_job(job: &QueryJob, out: &mut Vec<u8>) {
     let algorithm = AlgorithmSpec::ALL
         .iter()
         .position(|a| *a == job.algorithm)
@@ -630,24 +585,13 @@ fn encode_job(job: &QueryJob, out: &mut Vec<u8>, version: u8) {
         put_u64(out, d.as_nanos() as u64)
     });
     put_option(out, &job.retry_budget, |out, b| put_u64(out, *b));
-    if version >= PROTOCOL_V2 {
-        // Trailing so the V1 prefix is byte-identical under both versions.
-        put_u64(out, job.trace.0);
-    }
-    if version >= PROTOCOL_V3 {
-        // Same trailing-field trick as the trace id: a V2 decoder never
-        // reads this far, so the V2 prefix stays byte-identical.
-        out.push(job.priority.to_wire_tag());
-    }
-    if version >= PROTOCOL_V4 {
-        // Trailing again: parent span id + sampling flag, so the V3
-        // prefix stays byte-identical.
-        put_u64(out, job.span_parent.parent);
-        out.push(job.span_parent.sampled as u8);
-    }
+    put_u64(out, job.trace.0);
+    out.push(job.priority.to_wire_tag());
+    put_u64(out, job.span_parent.parent);
+    out.push(job.span_parent.sampled as u8);
 }
 
-fn decode_job(r: &mut Reader<'_>, version: u8) -> Result<QueryJob, String> {
+fn decode_job(r: &mut Reader<'_>) -> Result<QueryJob, String> {
     let tag = r.u8().map_err(|e| e.to_string())?;
     let algorithm = *AlgorithmSpec::ALL
         .get(tag as usize)
@@ -662,23 +606,17 @@ fn decode_job(r: &mut Reader<'_>, version: u8) -> Result<QueryJob, String> {
     let mut job = QueryJob::new(algorithm, channel, t, session_seed);
     job.deadline = deadline;
     job.retry_budget = retry_budget;
-    if version >= PROTOCOL_V2 {
-        job.trace = tcast_obs::TraceId(r.u64().map_err(|e| e.to_string())?);
-    }
-    if version >= PROTOCOL_V3 {
-        let tag = r.u8().map_err(|e| e.to_string())?;
-        job.priority = tcast_tenant::Priority::from_wire_tag(tag)
-            .ok_or_else(|| format!("priority tag {tag}"))?;
-    }
-    if version >= PROTOCOL_V4 {
-        let parent = r.u64().map_err(|e| e.to_string())?;
-        let sampled = match r.u8().map_err(|e| e.to_string())? {
-            0 => false,
-            1 => true,
-            tag => return Err(format!("sampled flag {tag}")),
-        };
-        job.span_parent = tcast_obs::SpanContext { parent, sampled };
-    }
+    job.trace = tcast_obs::TraceId(r.u64().map_err(|e| e.to_string())?);
+    let tag = r.u8().map_err(|e| e.to_string())?;
+    job.priority =
+        tcast_tenant::Priority::from_wire_tag(tag).ok_or_else(|| format!("priority tag {tag}"))?;
+    let parent = r.u64().map_err(|e| e.to_string())?;
+    let sampled = match r.u8().map_err(|e| e.to_string())? {
+        0 => false,
+        1 => true,
+        tag => return Err(format!("sampled flag {tag}")),
+    };
+    job.span_parent = tcast_obs::SpanContext { parent, sampled };
     Ok(job)
 }
 
@@ -744,16 +682,9 @@ fn decode_exported_trace(r: &mut Reader<'_>) -> Result<tcast_obs::ExportedTrace,
     Ok(tcast_obs::ExportedTrace { trace, records })
 }
 
-/// Writes `frame` to `w` at protocol version 1 and returns the number of
-/// wire bytes written.
+/// Writes `frame` to `w` and returns the number of wire bytes written.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<usize> {
-    write_frame_versioned(w, frame, PROTOCOL_V1)
-}
-
-/// Writes `frame` to `w` encoded at `version` and returns the number of
-/// wire bytes written.
-pub fn write_frame_versioned(w: &mut impl Write, frame: &Frame, version: u8) -> io::Result<usize> {
-    let bytes = frame.to_bytes_versioned(version);
+    let bytes = frame.to_bytes();
     w.write_all(&bytes)?;
     Ok(bytes.len())
 }
@@ -911,11 +842,11 @@ mod tests {
                 max_version: 3,
             },
             Frame::HelloAck {
-                version: 1,
+                version: PROTOCOL_VERSION,
                 challenge: None,
             },
             Frame::HelloAck {
-                version: 3,
+                version: PROTOCOL_VERSION,
                 challenge: Some([0xA5; 16]),
             },
             Frame::Auth {
@@ -926,6 +857,16 @@ mod tests {
             Frame::Submit {
                 request_id: 42,
                 job: sample_job(),
+            },
+            Frame::Submit {
+                request_id: 43,
+                job: sample_job()
+                    .with_trace(tcast_obs::TraceId(0xDEAD_BEEF_0B5E_u64 | 1))
+                    .with_priority(tcast_tenant::Priority::High)
+                    .with_parent_span(tcast_obs::SpanContext {
+                        parent: 0xCAFE,
+                        sampled: false,
+                    }),
             },
             Frame::JobOk {
                 request_id: 42,
@@ -1001,105 +942,11 @@ mod tests {
             Frame::Goodbye,
         ];
         for frame in frames {
-            for version in [PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_V4] {
-                let bytes = frame.to_bytes_versioned(version);
-                assert_eq!(
-                    Frame::from_bytes(&bytes, DEFAULT_MAX_PAYLOAD).unwrap(),
-                    frame,
-                    "roundtrip failed at version {version}"
-                );
-            }
+            assert_eq!(
+                Frame::from_bytes(&frame.to_bytes(), DEFAULT_MAX_PAYLOAD).unwrap(),
+                frame
+            );
         }
-    }
-
-    #[test]
-    fn v2_submit_carries_the_trace_id_and_v1_drops_it() {
-        let trace = tcast_obs::TraceId(0xDEAD_BEEF_0B5E_u64 | 1);
-        let frame = Frame::Submit {
-            request_id: 5,
-            job: sample_job().with_trace(trace),
-        };
-        // V2 round-trips the trace bit-exactly.
-        let got =
-            Frame::from_bytes(&frame.to_bytes_versioned(PROTOCOL_V2), DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(got, frame);
-        // V1 encodes without the trace — a V1 receiver sees TraceId::NONE,
-        // and the wire bytes are identical to an untraced V1 submit.
-        let v1 = Frame::from_bytes(&frame.to_bytes(), DEFAULT_MAX_PAYLOAD).unwrap();
-        let Frame::Submit { job, .. } = &v1 else {
-            panic!("expected submit");
-        };
-        assert_eq!(job.trace, tcast_obs::TraceId::NONE);
-        assert_eq!(
-            frame.to_bytes(),
-            Frame::Submit {
-                request_id: 5,
-                job: sample_job(),
-            }
-            .to_bytes(),
-            "trace must not leak into V1 bytes"
-        );
-    }
-
-    #[test]
-    fn v3_submit_carries_the_priority_and_v2_drops_it() {
-        let frame = Frame::Submit {
-            request_id: 6,
-            job: sample_job().with_priority(tcast_tenant::Priority::High),
-        };
-        // V3 round-trips the priority class bit-exactly.
-        let got =
-            Frame::from_bytes(&frame.to_bytes_versioned(PROTOCOL_V3), DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(got, frame);
-        // V2 encodes without it — the receiver sees the default class,
-        // and the wire bytes match an unprioritized V2 submit.
-        let v2 =
-            Frame::from_bytes(&frame.to_bytes_versioned(PROTOCOL_V2), DEFAULT_MAX_PAYLOAD).unwrap();
-        let Frame::Submit { job, .. } = &v2 else {
-            panic!("expected submit");
-        };
-        assert_eq!(job.priority, tcast_tenant::Priority::Normal);
-        assert_eq!(
-            frame.to_bytes_versioned(PROTOCOL_V2),
-            Frame::Submit {
-                request_id: 6,
-                job: sample_job(),
-            }
-            .to_bytes_versioned(PROTOCOL_V2),
-            "priority must not leak into V2 bytes"
-        );
-    }
-
-    #[test]
-    fn v4_submit_carries_the_span_context_and_v3_drops_it() {
-        let frame = Frame::Submit {
-            request_id: 7,
-            job: sample_job().with_parent_span(tcast_obs::SpanContext {
-                parent: 0xCAFE,
-                sampled: false,
-            }),
-        };
-        // V4 round-trips the span context bit-exactly.
-        let got =
-            Frame::from_bytes(&frame.to_bytes_versioned(PROTOCOL_V4), DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(got, frame);
-        // V3 encodes without it — the receiver sees SpanContext::NONE,
-        // and the wire bytes match a contextless V3 submit.
-        let v3 =
-            Frame::from_bytes(&frame.to_bytes_versioned(PROTOCOL_V3), DEFAULT_MAX_PAYLOAD).unwrap();
-        let Frame::Submit { job, .. } = &v3 else {
-            panic!("expected submit");
-        };
-        assert_eq!(job.span_parent, tcast_obs::SpanContext::NONE);
-        assert_eq!(
-            frame.to_bytes_versioned(PROTOCOL_V3),
-            Frame::Submit {
-                request_id: 7,
-                job: sample_job(),
-            }
-            .to_bytes_versioned(PROTOCOL_V3),
-            "span context must not leak into V3 bytes"
-        );
     }
 
     #[test]
@@ -1108,7 +955,7 @@ mod tests {
             request_id: 7,
             job: sample_job(),
         };
-        let mut bytes = frame.to_bytes_versioned(PROTOCOL_V4);
+        let mut bytes = frame.to_bytes();
         let trailer = bytes.len() - TRAILER_LEN;
         bytes[trailer - 1] = 2; // sampled flag is last before the CRC
         let fixed_crc = crc32(&bytes[..trailer]).to_le_bytes();
@@ -1125,9 +972,9 @@ mod tests {
             request_id: 6,
             job: sample_job(),
         };
-        let mut bytes = frame.to_bytes_versioned(PROTOCOL_V3);
+        let mut bytes = frame.to_bytes();
         let trailer = bytes.len() - TRAILER_LEN;
-        bytes[trailer - 1] = 7; // priority byte is last before the CRC
+        bytes[trailer - 10] = 7; // priority byte precedes the 9-byte span context
         let fixed_crc = crc32(&bytes[..trailer]).to_le_bytes();
         bytes[trailer..].copy_from_slice(&fixed_crc);
         assert!(matches!(
@@ -1147,10 +994,10 @@ mod tests {
             report: QueryReport::trivial(true),
         };
         let mut out = Vec::new();
-        a.encode_into(&mut out, PROTOCOL_V3);
-        b.encode_into(&mut out, PROTOCOL_V3);
-        let mut expected = a.to_bytes_versioned(PROTOCOL_V3);
-        expected.extend_from_slice(&b.to_bytes_versioned(PROTOCOL_V3));
+        a.encode_into(&mut out);
+        b.encode_into(&mut out);
+        let mut expected = a.to_bytes();
+        expected.extend_from_slice(&b.to_bytes());
         assert_eq!(
             out, expected,
             "stacked frames must match one-at-a-time bytes"
@@ -1161,14 +1008,14 @@ mod tests {
     fn job_ok_encodes_zero_copy_from_a_borrowed_report() {
         let report = QueryReport::trivial(false);
         let mut out = Vec::new();
-        Frame::encode_job_ok_into(&mut out, PROTOCOL_V2, 9, &report);
+        Frame::encode_job_ok_into(&mut out, 9, &report);
         assert_eq!(
             out,
             Frame::JobOk {
                 request_id: 9,
                 report,
             }
-            .to_bytes_versioned(PROTOCOL_V2),
+            .to_bytes(),
         );
     }
 
@@ -1254,14 +1101,16 @@ mod tests {
             challenge: None,
         }
         .to_bytes();
-        ack[5] = 9; // claim protocol version 9
-        let body_end = ack.len() - TRAILER_LEN;
-        let fixed_crc = crc32(&ack[..body_end]).to_le_bytes();
-        ack[body_end..].copy_from_slice(&fixed_crc);
-        assert_eq!(
-            Frame::from_bytes(&ack, DEFAULT_MAX_PAYLOAD),
-            Err(MalformedFrame::Version(9))
-        );
+        for other in [1, 3, 9] {
+            ack[5] = other; // claim another protocol version
+            let body_end = ack.len() - TRAILER_LEN;
+            let fixed_crc = crc32(&ack[..body_end]).to_le_bytes();
+            ack[body_end..].copy_from_slice(&fixed_crc);
+            assert_eq!(
+                Frame::from_bytes(&ack, DEFAULT_MAX_PAYLOAD),
+                Err(MalformedFrame::Version(other))
+            );
+        }
 
         let mut hello = Frame::Hello {
             min_version: 1,

@@ -4,11 +4,10 @@
 //! The crate is std-only — no async runtime, no serde, no `libc` crate —
 //! and splits into these layers:
 //!
-//! - [`frame`]: the versioned, length-prefixed, CRC-checked binary wire
-//!   protocol. Frames carry [`tcast_service::QueryJob`] specs out and
+//! - [`frame`]: the length-prefixed, CRC-checked binary wire protocol.
+//!   Frames carry [`tcast_service::QueryJob`] specs out and
 //!   [`tcast::QueryReport`] / [`tcast_service::JobError`] payloads back,
-//!   plus typed error frames and the `Hello`/`HelloAck` version
-//!   negotiation pair.
+//!   plus typed error frames and the `Hello`/`HelloAck` version check.
 //! - [`reactor`]: `poll(2)`-style readiness primitives on raw fds —
 //!   a poll wrapper, a socketpair doorbell, and an accept-failure
 //!   backoff policy — with zero dependencies beyond std.
@@ -71,7 +70,7 @@ pub use client::{
 pub use cluster::{ClusterBatch, ClusterConfig, ClusterEvent, ShardedClient};
 pub use frame::{
     ErrorCode, Frame, FrameReadError, FrameReader, MalformedFrame, DEFAULT_MAX_PAYLOAD,
-    PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_V4,
+    PROTOCOL_VERSION,
 };
 pub use server::{NetServer, NetServerConfig};
 

@@ -6,7 +6,7 @@
 //! `min(8, cores)`, see [`NetServerConfig::io_threads`]). Each I/O
 //! thread multiplexes its share of non-blocking connections through a
 //! [`crate::reactor`] readiness loop: per-connection state — the
-//! negotiation phase, the stateful [`FrameReader`] surviving partial
+//! handshake phase, the stateful [`FrameReader`] surviving partial
 //! reads, the in-flight window, the pending write buffer, idle and
 //! handshake deadlines — lives in a `Conn` state machine driven by
 //! readiness events. Thread count is therefore a constant, not a
@@ -48,13 +48,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use tcast_service::{JobError, JobOutput, NetCounters, QueryService, SubmitError};
+use tcast_service::{JobError, JobOutput, NetCounters, QueryService, SubmitError, SubmitOptions};
 use tcast_tenant::{TenantId, TenantRegistry};
 
 use tcast_obs::{TraceCollector, TraceCollectorConfig};
 
 use crate::frame::{
-    ErrorCode, Frame, FrameReadError, FrameReader, DEFAULT_MAX_PAYLOAD, PROTOCOL_V1, PROTOCOL_V4,
+    ErrorCode, Frame, FrameReadError, FrameReader, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 use crate::reactor::{poll_fds, AcceptBackoff, PollFd, Waker};
 
@@ -72,7 +72,7 @@ pub struct NetServerConfig {
     /// is closed with a `Goodbye`. Partial-frame byte progress counts
     /// as traffic, so a slow sender is never cut off mid-frame.
     pub idle_timeout: Duration,
-    /// A connection that has not completed version negotiation within
+    /// A connection that has not completed its handshake within
     /// this window is dropped.
     pub handshake_timeout: Duration,
     /// Frames whose payload exceeds this are rejected as malformed.
@@ -430,11 +430,10 @@ impl Conn {
     }
 }
 
-/// Serializes `frame` onto the connection's write buffer (responses are
-/// encoded at protocol version 1, which every negotiated peer accepts).
+/// Serializes `frame` onto the connection's write buffer.
 fn queue_frame(counters: &NetCounters, conn: &mut Conn, frame: &Frame) {
     let before = conn.wbuf.len();
-    frame.encode_into(&mut conn.wbuf, PROTOCOL_V1);
+    frame.encode_into(&mut conn.wbuf);
     counters.frame_out((conn.wbuf.len() - before) as u64);
 }
 
@@ -732,13 +731,9 @@ impl IoThread {
                     min_version,
                     max_version,
                 } => {
-                    // Ack the highest version in both ranges: the server
-                    // speaks [V1, V4], so that is min(client max, V4)
-                    // when the ranges overlap at all.
-                    if min_version <= max_version
-                        && min_version <= PROTOCOL_V4
-                        && max_version >= PROTOCOL_V1
-                    {
+                    // The server speaks exactly one version: ack iff the
+                    // client's range contains it.
+                    if (min_version..=max_version).contains(&PROTOCOL_VERSION) {
                         // With a tenant registry attached the ack also
                         // carries a fresh challenge, and the connection
                         // must authenticate before anything else.
@@ -750,7 +745,7 @@ impl IoThread {
                             Phase::Active
                         };
                         let ack = Frame::HelloAck {
-                            version: max_version.min(PROTOCOL_V4),
+                            version: PROTOCOL_VERSION,
                             challenge,
                         };
                         queue_frame(&self.counters, conn, &ack);
@@ -759,8 +754,8 @@ impl IoThread {
                             slot,
                             ErrorCode::UnsupportedVersion,
                             format!(
-                                "server speaks versions {PROTOCOL_V1}..={PROTOCOL_V4}, client \
-                                 offered {min_version}..={max_version}"
+                                "server speaks version {PROTOCOL_VERSION}, client offered \
+                                 {min_version}..={max_version}"
                             ),
                         );
                     }
@@ -916,18 +911,18 @@ impl IoThread {
                     let before = out.len();
                     match result {
                         Ok(JobOutput::Report(report)) => {
-                            Frame::encode_job_ok_into(&mut out, PROTOCOL_V1, request_id, report);
+                            Frame::encode_job_ok_into(&mut out, request_id, report);
                         }
                         Ok(other) => Frame::JobFailed {
                             request_id,
                             error: JobError::Panicked(format!("non-report job output: {other:?}")),
                         }
-                        .encode_into(&mut out, PROTOCOL_V1),
+                        .encode_into(&mut out),
                         Err(e) => Frame::JobFailed {
                             request_id,
                             error: e.clone(),
                         }
-                        .encode_into(&mut out, PROTOCOL_V1),
+                        .encode_into(&mut out),
                     }
                     counters.frame_out((out.len() - before) as u64);
                 }
@@ -942,7 +937,10 @@ impl IoThread {
                 inbox.waker.wake();
             })
         };
-        match self.service.try_submit_watched(vec![job], watcher) {
+        match self.service.submit_with(
+            vec![job],
+            SubmitOptions::new().nonblocking().watched(watcher),
+        ) {
             Ok(_batch) => {} // responses flow through the watcher
             Err(SubmitError::QueueFull(_)) => {
                 shared.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -998,7 +996,7 @@ impl IoThread {
             Phase::Handshake | Phase::AuthPending => {
                 if draining || now.duration_since(conn.opened_at) > self.config.handshake_timeout {
                     // Dropped silently, exactly as the blocking server
-                    // dropped un-negotiated connections.
+                    // dropped connections that never finished the handshake.
                     self.close(slot);
                     return;
                 }

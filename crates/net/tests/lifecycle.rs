@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 use tcast::{ChannelSpec, CollisionModel};
 use tcast_net::frame::write_frame;
 use tcast_net::{
-    Frame, FrameReader, NetClient, NetClientConfig, NetServer, NetServerConfig,
-    DEFAULT_MAX_PAYLOAD, PROTOCOL_V1, PROTOCOL_V2,
+    ErrorCode, Frame, FrameReader, NetClient, NetClientConfig, NetServer, NetServerConfig,
+    DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 use tcast_service::{AlgorithmSpec, QueryJob, QueryService, ServiceConfig};
 
@@ -62,8 +62,9 @@ fn wait_until(deadline: Duration, mut pred: impl FnMut() -> bool) -> bool {
     false
 }
 
-/// Opens a raw connection and completes version negotiation.
-fn handshake(server: &NetServer) -> (TcpStream, FrameReader) {
+/// Opens a raw connection, says `Hello` with the inclusive version range
+/// `[min, max]`, and returns the stream, its reader, and the answer.
+fn hello(server: &NetServer, min: u8, max: u8) -> (TcpStream, FrameReader, Frame) {
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -71,13 +72,19 @@ fn handshake(server: &NetServer) -> (TcpStream, FrameReader) {
     write_frame(
         &mut stream,
         &Frame::Hello {
-            min_version: PROTOCOL_V1,
-            max_version: PROTOCOL_V2,
+            min_version: min,
+            max_version: max,
         },
     )
     .expect("send hello");
     let mut reader = FrameReader::new();
-    let (ack, _) = read_frame(&mut reader, &mut stream);
+    let (answer, _) = read_frame(&mut reader, &mut stream);
+    (stream, reader, answer)
+}
+
+/// Opens a raw connection and completes the handshake.
+fn handshake(server: &NetServer) -> (TcpStream, FrameReader) {
+    let (stream, reader, ack) = hello(server, PROTOCOL_VERSION, PROTOCOL_VERSION);
     assert!(
         matches!(ack, Frame::HelloAck { .. }),
         "expected HelloAck, got {ack:?}"
@@ -104,6 +111,43 @@ fn tiny_job(seed: u64) -> QueryJob {
         3,
         seed,
     )
+}
+
+/// The server speaks one protocol version: it acks exactly the `Hello`
+/// ranges that contain it, and answers every other range with a typed
+/// `UnsupportedVersion` error.
+#[test]
+fn server_acks_only_hello_ranges_containing_its_version() {
+    let (server, _service) = start_server(1, NetServerConfig::default());
+    for (min, max) in [
+        (PROTOCOL_VERSION, PROTOCOL_VERSION),
+        (1, PROTOCOL_VERSION),
+        (PROTOCOL_VERSION, u8::MAX),
+    ] {
+        let (_stream, _reader, ack) = hello(&server, min, max);
+        assert!(
+            matches!(ack, Frame::HelloAck { version, .. } if version == PROTOCOL_VERSION),
+            "range {min}..={max}: expected HelloAck, got {ack:?}"
+        );
+    }
+    for (min, max) in [
+        (1, PROTOCOL_VERSION - 1),
+        (PROTOCOL_VERSION + 1, u8::MAX),
+        (PROTOCOL_VERSION, PROTOCOL_VERSION - 1),
+    ] {
+        let (_stream, _reader, answer) = hello(&server, min, max);
+        assert!(
+            matches!(
+                answer,
+                Frame::Error {
+                    code: ErrorCode::UnsupportedVersion,
+                    ..
+                }
+            ),
+            "range {min}..={max}: expected UnsupportedVersion, got {answer:?}"
+        );
+    }
+    server.shutdown();
 }
 
 /// Bug 1: a connected peer that floods requests but never reads a byte

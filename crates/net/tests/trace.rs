@@ -2,14 +2,13 @@
 //! ports, with a `MemorySink` installed to capture the trace a query
 //! leaves behind as it crosses the cluster router, the wire, the
 //! service queue, and the engine — all correlated by one `TraceId`
-//! carried in the V2 `Submit` frame.
+//! carried in the `Submit` frame.
 
 use std::sync::Arc;
 
 use tcast::{ChannelSpec, CollisionModel};
 use tcast_net::{
     ClusterConfig, NetClient, NetClientConfig, NetServer, NetServerConfig, ShardedClient,
-    PROTOCOL_V4,
 };
 use tcast_obs::{add_sink, check_nesting, MemorySink, Record, RecordKind, TraceId};
 use tcast_service::{AlgorithmSpec, QueryJob, QueryService, ServiceConfig};
@@ -33,16 +32,6 @@ fn traced_job(seed: u64, trace: TraceId) -> QueryJob {
 
 fn names_of(records: &[Record]) -> Vec<(&'static str, RecordKind)> {
     records.iter().map(|r| (r.name, r.kind)).collect()
-}
-
-#[test]
-fn client_and_server_negotiate_the_latest_protocol() {
-    let (server, _service) = start_server(1);
-    let client =
-        NetClient::connect(server.local_addr(), NetClientConfig::default()).expect("connect");
-    assert_eq!(client.negotiated_version(), PROTOCOL_V4);
-    client.close();
-    server.shutdown();
 }
 
 /// The headline correlation property: ONE query submitted through the

@@ -231,11 +231,9 @@ fn service_arm(
     waves: usize,
     reference: &[QueryReport],
 ) -> ServiceArm {
-    let service = QueryService::new(
-        ServiceConfig::with_workers(workers)
-            .with_batch_size(batch_size)
-            .with_queue_capacity(JOBS_PER_WAVE * 2),
-    );
+    let mut config = ServiceConfig::with_workers(workers).with_queue_capacity(JOBS_PER_WAVE * 2);
+    config.batch_size = batch_size;
+    let service = QueryService::new(config);
     // Warmup wave doubles as the bit-identity cross-check: every arm
     // must reproduce the single-worker reports exactly.
     let reports = wave_reports(&service);

@@ -11,8 +11,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use tcast::{
-    population, Abns, ChannelSpec, EngineScratch, ExecutionProfile, ExpIncrease, OracleBins,
-    ProbAbns, QueryReport, RetryPolicy, ThresholdQuerier, TwoTBins,
+    Abns, ChannelSpec, EngineScratch, ExecutionProfile, ExpIncrease, OracleBins, ProbAbns,
+    QueryReport, RetryPolicy, ThresholdQuerier, TwoTBins,
 };
 use tcast_stats::Summary;
 
@@ -161,11 +161,9 @@ impl QueryJob {
     }
 
     /// Returns the job running under `profile`: the profile's retry and
-    /// defense policies replace the channel spec's. The batch-size knob
-    /// is service-side scheduling (see `ServiceConfig::with_batch_size`)
-    /// and does not shape the job. Both policies participate in
-    /// [`QueryJob::cache_key`] via the channel spec, so two jobs differing
-    /// only in profile never collide in the session cache.
+    /// defense policies replace the channel spec's. Both policies
+    /// participate in [`QueryJob::cache_key`] via the channel spec, so two
+    /// jobs differing only in profile never collide in the session cache.
     pub fn with_profile(mut self, profile: ExecutionProfile) -> Self {
         self.channel.retry = profile.retry;
         self.channel.defense = profile.defense;
@@ -250,28 +248,15 @@ impl QueryJob {
     /// an [`tcast::AdversaryConfig`] gets its Byzantine wrapper here and
     /// the spec's [`tcast::DefensePolicy`] shapes the session; honest
     /// specs build byte-identically to [`ChannelSpec::build_with_truth`].
+    /// This is [`execute_in`](Self::execute_in) over a fresh scratch.
     pub fn execute(&self) -> QueryReport {
-        let _scope = tcast_obs::scoped_trace(self.trace);
-        let (mut channel, truth) = tcast_adversary::build_with_truth(&self.channel);
-        let algorithm = self.algorithm.build(truth);
-        let mut rng = SmallRng::seed_from_u64(self.session_seed);
-        let options = ExecutionProfile::new()
-            .with_retry(self.retry_policy())
-            .with_defense(self.channel.defense)
-            .options();
-        algorithm.run_with_options(
-            &population(self.channel.n),
-            self.t,
-            channel.as_mut(),
-            &mut rng,
-            options,
-        )
+        self.execute_in(&mut EngineScratch::new())
     }
 
     /// [`execute`](Self::execute) over pooled engine buffers: the
     /// batch-native path workers use, reusing `scratch` across jobs so
-    /// steady-state execution stops allocating per query. Bit-identical
-    /// to [`execute`](Self::execute) — a scratch is capacity, never state
+    /// steady-state execution stops allocating per query. A scratch is
+    /// capacity, never state, so the report does not depend on it
     /// (pinned by `tests/batch_parity.rs`).
     pub fn execute_in(&self, scratch: &mut EngineScratch) -> QueryReport {
         let _scope = tcast_obs::scoped_trace(self.trace);

@@ -12,8 +12,8 @@
 //!   session seed. Workers rebuild everything from the spec, so execution
 //!   is a pure function of the job.
 //! * **Bounded admission.** [`QueryService::submit`] blocks when the
-//!   queue is over capacity; [`QueryService::try_submit`] hands the jobs
-//!   back instead. Producers can't outrun the pool unboundedly.
+//!   queue is over capacity; non-blocking [`QueryService::submit_with`]
+//!   hands the jobs back instead. Producers can't outrun the pool unboundedly.
 //! * **Deterministic scheduling.** Workers steal jobs through an atomic
 //!   claim index, yet batch results always come back in submission order
 //!   and bit-identical at any worker count — seeds live in the jobs, not

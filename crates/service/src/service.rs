@@ -40,7 +40,7 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex};
 use tcast_tenant::{Priority, TenantId, TenantRegistry};
 
-use tcast::{BatchRunner, ExecutionProfile};
+use tcast::EngineScratch;
 
 use crate::cache::SessionCache;
 use crate::job::{JobError, JobOutput, JobResult, QueryJob};
@@ -57,7 +57,7 @@ pub struct ServiceConfig {
     /// Worker threads; `0` means one per available CPU.
     pub workers: usize,
     /// Maximum jobs waiting in the admission queue before `submit` blocks
-    /// (and `try_submit` rejects).
+    /// (and non-blocking admission rejects).
     pub queue_capacity: usize,
     /// Capacity (in reports) of the LRU session result cache consulted
     /// before executing a query job; `0` (the default) disables caching.
@@ -68,7 +68,8 @@ pub struct ServiceConfig {
     /// then executes back to back over its pooled engine buffers.
     /// Scheduling order, per-job queue-wait accounting, deadlines, and
     /// report bits are identical at any batch size; larger batches only
-    /// amortize lock traffic. `1` restores job-at-a-time dequeueing.
+    /// amortize lock traffic. `1` restores job-at-a-time dequeueing
+    /// (`0` counts as `1`). Default: 8.
     pub batch_size: usize,
 }
 
@@ -78,7 +79,7 @@ impl Default for ServiceConfig {
             workers: 0,
             queue_capacity: 4096,
             session_cache: 0,
-            batch_size: tcast::ExecutionProfile::DEFAULT_BATCH,
+            batch_size: 8,
         }
     }
 }
@@ -91,14 +92,6 @@ impl ServiceConfig {
             workers,
             ..Self::default()
         }
-    }
-
-    /// Returns the config with an explicit per-worker dequeue batch size
-    /// (clamped to at least 1).
-    #[must_use = "builder methods return a new config; the original is unchanged"]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
     }
 
     /// Returns the config with an explicit admission-queue capacity.
@@ -129,7 +122,7 @@ impl std::fmt::Display for ServiceClosed {
 
 impl std::error::Error for ServiceClosed {}
 
-/// Why [`QueryService::try_submit`] did not accept a batch. The jobs are
+/// Why [`QueryService::submit_with`] did not accept a batch. The jobs are
 /// handed back so the caller can retry or shed load.
 #[derive(Debug)]
 pub enum SubmitError {
@@ -171,12 +164,9 @@ impl std::error::Error for SubmitError {}
 /// does to stream responses in completion order.
 pub type CompletionWatcher = Arc<dyn Fn(usize, &JobResult) + Send + Sync>;
 
-/// How [`QueryService::submit_with`] admits a batch: the one options
-/// struct behind the whole submit surface. The named entrypoints
-/// ([`QueryService::submit`], [`QueryService::try_submit`],
-/// [`QueryService::submit_watched`],
-/// [`QueryService::try_submit_watched`]) are thin delegates over the
-/// four corners of this space.
+/// How [`QueryService::submit_with`] admits a batch: blocking or not,
+/// with or without a completion hook. [`QueryService::submit`] is the
+/// blocking, unwatched default.
 #[derive(Clone)]
 pub struct SubmitOptions {
     /// Block while the admission queue is over capacity (backpressure).
@@ -525,8 +515,7 @@ impl QueryService {
         self.inner.state.lock().queued_jobs
     }
 
-    /// Submits a batch of query jobs under explicit admission options —
-    /// the single entrypoint behind the whole submit surface.
+    /// Submits a batch of query jobs under explicit admission options.
     ///
     /// With `options.blocking` (the default), admission waits while the
     /// queue is over capacity, and the only possible error is
@@ -589,39 +578,6 @@ impl QueryService {
     /// rejection sheds load immediately rather than blocking).
     pub fn submit(&self, jobs: Vec<QueryJob>) -> Result<Batch, SubmitError> {
         self.submit_with(jobs, SubmitOptions::new())
-    }
-
-    /// Like [`submit`](Self::submit), additionally invoking `on_complete`
-    /// on the worker thread as each job finishes. Delegates to
-    /// [`submit_with`](Self::submit_with) with a watcher.
-    pub fn submit_watched(
-        &self,
-        jobs: Vec<QueryJob>,
-        on_complete: CompletionWatcher,
-    ) -> Result<Batch, SubmitError> {
-        self.submit_with(jobs, SubmitOptions::new().watched(on_complete))
-    }
-
-    /// Like [`try_submit`](Self::try_submit) with a completion callback.
-    /// The network front-end uses this to pipeline responses without one
-    /// blocked thread per in-flight request. Delegates to
-    /// [`submit_with`](Self::submit_with).
-    pub fn try_submit_watched(
-        &self,
-        jobs: Vec<QueryJob>,
-        on_complete: CompletionWatcher,
-    ) -> Result<Batch, SubmitError> {
-        self.submit_with(
-            jobs,
-            SubmitOptions::new().nonblocking().watched(on_complete),
-        )
-    }
-
-    /// Like [`submit`](Self::submit) but never blocks: a full queue hands
-    /// the jobs back in [`SubmitError::QueueFull`]. Delegates to
-    /// [`submit_with`](Self::submit_with).
-    pub fn try_submit(&self, jobs: Vec<QueryJob>) -> Result<Batch, SubmitError> {
-        self.submit_with(jobs, SubmitOptions::new().nonblocking())
     }
 
     fn submit_error((payloads, closed): (Vec<Payload>, bool)) -> SubmitError {
@@ -764,11 +720,9 @@ fn take_payloads(unit: &WorkUnit) -> Vec<Payload> {
 }
 
 fn worker_loop(inner: &Inner) {
-    // One runner per worker: its scratch buffers grow to steady state
-    // over the first few jobs, after which query execution stops
-    // allocating. Per-job policies come from the jobs themselves
-    // (`QueryJob::execute_in`), so the runner profile here is inert.
-    let mut runner = BatchRunner::new(ExecutionProfile::new());
+    // One scratch per worker: its buffers grow to steady state over the
+    // first few jobs, after which query execution stops allocating.
+    let mut scratch = EngineScratch::new();
     let mut claims: Vec<(Arc<WorkUnit>, usize)> = Vec::with_capacity(inner.batch);
     loop {
         {
@@ -807,7 +761,7 @@ fn worker_loop(inner: &Inner) {
             &[("size", claims.len() as u64)],
         ));
         for (unit, index) in claims.drain(..) {
-            execute(inner, &unit, index, &mut runner);
+            execute(inner, &unit, index, &mut scratch);
         }
     }
 }
@@ -859,7 +813,7 @@ fn claim_drr(inner: &Inner, st: &mut QueueState) -> Option<(Arc<WorkUnit>, usize
     }
 }
 
-fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunner) {
+fn execute(inner: &Inner, unit: &WorkUnit, index: usize, scratch: &mut EngineScratch) {
     let payload = unit.slots[index]
         .lock()
         .take()
@@ -901,7 +855,7 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
                 );
                 Err(JobError::DeadlineExceeded)
             } else {
-                run_query(inner, &label, &job, runner)
+                run_query(inner, &label, &job, scratch)
             };
             inner.metrics.record_queue_wait(queue_wait);
             if let (Some(tenant), Some(reg)) = (job.tenant, &inner.tenants) {
@@ -940,7 +894,7 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
 /// (execution is pure, so totals stay identical to an uncached run); the
 /// hit itself is tallied separately as `cache_hits`. Only clean reports
 /// are cached — a panic is not a result worth replaying.
-fn run_query(inner: &Inner, label: &str, job: &QueryJob, runner: &mut BatchRunner) -> JobResult {
+fn run_query(inner: &Inner, label: &str, job: &QueryJob, scratch: &mut EngineScratch) -> JobResult {
     let cached = inner.cache.as_ref().map(|c| (c, job.cache_key()));
     if let Some(report) = cached.as_ref().and_then(|(c, key)| c.lock().get(key)) {
         inner.metrics.record_cache_hit(label);
@@ -950,7 +904,7 @@ fn run_query(inner: &Inner, label: &str, job: &QueryJob, runner: &mut BatchRunne
     // The worker's pooled scratch survives a panicking session: buffers
     // are cleared before every use, so a poisoned-looking scratch cannot
     // exist — capacity is the only state that persists.
-    let outcome = catch_unwind(AssertUnwindSafe(|| job.execute_in(runner.scratch())))
+    let outcome = catch_unwind(AssertUnwindSafe(|| job.execute_in(scratch)))
         .map(JobOutput::Report)
         .map_err(to_job_error);
     if let (Some((cache, key)), Ok(JobOutput::Report(report))) = (cached, &outcome) {
@@ -1047,7 +1001,7 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_rejects_when_full_and_returns_jobs() {
+    fn nonblocking_submit_rejects_when_full_and_returns_jobs() {
         // One worker wedged on a slow task keeps the queue occupied.
         let service = QueryService::new(ServiceConfig {
             workers: 1,
@@ -1062,7 +1016,7 @@ mod tests {
         let gate_batch = service.submit_tasks("gate", vec![gate]).unwrap();
         // Fill the queue past capacity while the worker is blocked.
         let fill = service.submit(vec![job(1), job(2)]).unwrap();
-        match service.try_submit(vec![job(3)]) {
+        match service.submit_with(vec![job(3)], SubmitOptions::new().nonblocking()) {
             Err(SubmitError::QueueFull(jobs)) => assert_eq!(jobs, vec![job(3)]),
             Err(e) => panic!("expected QueueFull, got {e:?}"),
             Ok(_) => panic!("expected QueueFull, got acceptance"),
@@ -1071,7 +1025,9 @@ mod tests {
         gate_batch.wait();
         fill.wait();
         // Queue drained: accepted again.
-        assert!(service.try_submit(vec![job(3)]).is_ok());
+        assert!(service
+            .submit_with(vec![job(3)], SubmitOptions::new().nonblocking())
+            .is_ok());
     }
 
     #[test]
@@ -1191,14 +1147,14 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::<(usize, tcast::QueryReport)>::new()));
         let sink = seen.clone();
         let batch = service
-            .submit_watched(
+            .submit_with(
                 jobs,
-                Arc::new(move |index, result| {
+                SubmitOptions::new().watched(Arc::new(move |index, result| {
                     let Ok(JobOutput::Report(rep)) = result else {
                         panic!("unexpected {result:?}");
                     };
                     sink.lock().push((index, rep.clone()));
-                }),
+                })),
             )
             .unwrap();
         // The batch API still works alongside the callback.
@@ -1218,7 +1174,10 @@ mod tests {
     fn a_panicking_watcher_does_not_kill_the_worker() {
         let service = QueryService::new(ServiceConfig::with_workers(1));
         let batch = service
-            .submit_watched(vec![job(1)], Arc::new(|_, _| panic!("watcher bug")))
+            .submit_with(
+                vec![job(1)],
+                SubmitOptions::new().watched(Arc::new(|_, _| panic!("watcher bug"))),
+            )
             .unwrap();
         // The result board still resolves, and the single worker survives
         // to run a second batch.
@@ -1248,7 +1207,7 @@ mod tests {
         assert_eq!(reports(batch.wait()), expected);
         assert_eq!(hits.load(Ordering::Relaxed), 8);
 
-        // Non-blocking admission surfaces QueueFull like try_submit.
+        // Non-blocking admission surfaces QueueFull.
         let service = QueryService::new(ServiceConfig {
             workers: 1,
             queue_capacity: 1,
@@ -1376,7 +1335,10 @@ mod tests {
     ) -> Batch {
         let order = order.clone();
         service
-            .submit_watched(vec![job], Arc::new(move |_, _| order.lock().push(tag)))
+            .submit_with(
+                vec![job],
+                SubmitOptions::new().watched(Arc::new(move |_, _| order.lock().push(tag))),
+            )
             .unwrap()
     }
 

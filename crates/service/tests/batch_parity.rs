@@ -67,7 +67,8 @@ proptest! {
         let jobs = workload(seed, 48);
         let expected: Vec<_> = jobs.iter().map(|j| j.execute()).collect();
 
-        let config = ServiceConfig::with_workers(workers).with_batch_size(batch_size);
+        let mut config = ServiceConfig::with_workers(workers);
+        config.batch_size = batch_size;
         let (service, jobs) = if tenanted {
             let mut registry = TenantRegistry::new();
             let alice = registry.register(TenantSpec::new("alice", [1u8; 32]).weight(2));
@@ -95,7 +96,9 @@ proptest! {
 /// service-wide queue-wait summary counts every executed job.
 #[test]
 fn batch_metrics_surface_in_the_snapshot() {
-    let service = QueryService::new(ServiceConfig::with_workers(1).with_batch_size(7));
+    let mut config = ServiceConfig::with_workers(1);
+    config.batch_size = 7;
+    let service = QueryService::new(config);
     let jobs = workload(11, 21);
     let n = jobs.len() as u64;
     let _ = service.submit(jobs).expect("service open").wait();

@@ -8,7 +8,9 @@
 use proptest::prelude::*;
 
 use tcast::{CaptureModel, ChannelSpec, CollisionModel, QueryReport};
-use tcast_service::{AlgorithmSpec, JobOutput, QueryJob, QueryService, ServiceConfig, SubmitError};
+use tcast_service::{
+    AlgorithmSpec, JobOutput, QueryJob, QueryService, ServiceConfig, SubmitError, SubmitOptions,
+};
 
 const MODELS: [CollisionModel; 3] = [
     CollisionModel::OnePlus,
@@ -64,8 +66,8 @@ fn batch_len_and_is_empty_track_the_submitted_jobs() {
 }
 
 #[test]
-fn shutdown_after_try_submit_rejection_loses_no_jobs() {
-    // Regression: a batch bounced by `try_submit` must leave no residue in
+fn shutdown_after_nonblocking_rejection_loses_no_jobs() {
+    // Regression: a batch bounced by non-blocking admission must leave no residue in
     // the queue accounting — after the service drains and shuts down, the
     // metrics must account for exactly the accepted jobs, and the rejected
     // jobs must come back intact for resubmission elsewhere.
@@ -82,11 +84,12 @@ fn shutdown_after_try_submit_rejection_loses_no_jobs() {
     let accepted_batch = service.submit(accepted).expect("open");
 
     let rejected_jobs = full_coverage_batch(16, 8, 2, 8);
-    let handed_back = match service.try_submit(rejected_jobs.clone()) {
-        Err(SubmitError::QueueFull(jobs)) => jobs,
-        Err(other) => panic!("expected QueueFull, got {other:?}"),
-        Ok(_) => panic!("expected QueueFull, got acceptance"),
-    };
+    let handed_back =
+        match service.submit_with(rejected_jobs.clone(), SubmitOptions::new().nonblocking()) {
+            Err(SubmitError::QueueFull(jobs)) => jobs,
+            Err(other) => panic!("expected QueueFull, got {other:?}"),
+            Ok(_) => panic!("expected QueueFull, got acceptance"),
+        };
     assert_eq!(handed_back, rejected_jobs, "rejected jobs returned intact");
 
     tx.send(()).unwrap();

@@ -12,12 +12,18 @@
 //! k-th quiet job.
 //!
 //! The measured interleaving and per-tenant queue-wait statistics are
-//! written to `BENCH_fairness.json` at the repo root.
+//! written to `BENCH_fairness.json` under Cargo's per-test temporary
+//! directory. The committed `BENCH_fairness.json` at the repo root is
+//! checked, not overwritten: its deterministic fields (setup and
+//! starvation bound) must equal this run's. Its queue-wait timings vary
+//! run to run and are not compared.
 
 use std::sync::{Arc, Mutex};
 
 use tcast::{ChannelSpec, CollisionModel};
-use tcast_service::{AlgorithmSpec, JobOutput, QueryJob, QueryService, ServiceConfig};
+use tcast_service::{
+    AlgorithmSpec, JobOutput, QueryJob, QueryService, ServiceConfig, SubmitOptions,
+};
 use tcast_tenant::{TenantRegistry, TenantSpec};
 
 const NOISY_JOBS: usize = 40;
@@ -58,9 +64,10 @@ fn quiet_tenant_is_never_starved_by_a_noisy_backlog() {
         let order = order.clone();
         batches.push(
             service
-                .submit_watched(
+                .submit_with(
                     vec![job(i as u64).with_tenant(noisy)],
-                    Arc::new(move |_, _| order.lock().unwrap().push("noisy")),
+                    SubmitOptions::new()
+                        .watched(Arc::new(move |_, _| order.lock().unwrap().push("noisy"))),
                 )
                 .expect("open"),
         );
@@ -69,9 +76,10 @@ fn quiet_tenant_is_never_starved_by_a_noisy_backlog() {
         let order = order.clone();
         batches.push(
             service
-                .submit_watched(
+                .submit_with(
                     vec![job(1000 + i as u64).with_tenant(quiet)],
-                    Arc::new(move |_, _| order.lock().unwrap().push("quiet")),
+                    SubmitOptions::new()
+                        .watched(Arc::new(move |_, _| order.lock().unwrap().push("quiet"))),
                 )
                 .expect("open"),
         );
@@ -147,6 +155,37 @@ fn quiet_tenant_is_never_starved_by_a_noisy_backlog() {
 }}
 "#
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fairness.json");
-    std::fs::write(path, json).expect("write BENCH_fairness.json");
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/BENCH_fairness.json");
+    std::fs::write(path, &json).expect("write BENCH_fairness.json");
+
+    let committed = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_fairness.json"
+    ))
+    .expect("read the committed BENCH_fairness.json");
+    for key in [
+        "seed",
+        "noisy_backlog_jobs",
+        "quiet_jobs",
+        "worst_noisy_lead_observed",
+        "fifo_counterfactual_lead",
+    ] {
+        assert_eq!(
+            json_field(&committed, key),
+            json_field(&json, key),
+            "{key}: the committed BENCH_fairness.json disagrees with this run"
+        );
+    }
+}
+
+/// The raw value following `"key": ` in flat JSON text.
+fn json_field<'a>(json: &'a str, key: &str) -> &'a str {
+    let tag = format!("\"{key}\": ");
+    let start = json
+        .find(&tag)
+        .unwrap_or_else(|| panic!("no field {key} in {json}"))
+        + tag.len();
+    let rest = &json[start..];
+    let end = rest.find([',', '\n', ' ', '}']).unwrap_or(rest.len());
+    &rest[..end]
 }

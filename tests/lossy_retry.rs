@@ -17,8 +17,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use tcast::{
-    population, Abns, ChannelSpec, CollisionModel, ExecutionProfile, ExpIncrease, LossConfig,
-    ProbAbns, RetryPolicy, ThresholdQuerier, TwoTBins,
+    population, Abns, ChannelSpec, CollisionModel, EngineScratch, ExecutionProfile, ExpIncrease,
+    LossConfig, ProbAbns, RetryPolicy, ThresholdQuerier, TwoTBins,
 };
 
 const N: usize = 32;
@@ -49,12 +49,13 @@ fn run_trials(retries: u32) -> (u64, u64) {
                 .seeded(seed, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
             let (mut ch, _) = spec.build_with_truth();
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
-            let report = alg.run_with_options(
+            let report = alg.run_with_profile(
                 &population(N),
                 T,
                 ch.as_mut(),
                 &mut rng,
-                ExecutionProfile::new().with_retry(policy).options(),
+                ExecutionProfile::new().with_retry(policy),
+                &mut EngineScratch::new(),
             );
             report.assert_consistent();
             wrong += u64::from(!report.answer);

@@ -386,7 +386,7 @@ proptest! {
         miss in 0.0f64..0.3,
         seed in any::<u64>(),
     ) {
-        use tcast::{ChannelSpec, ExecutionProfile, LossConfig, RetryPolicy};
+        use tcast::{ChannelSpec, EngineScratch, ExecutionProfile, LossConfig, RetryPolicy};
         let x = ((n as f64) * x_frac).round() as usize;
         let loss = LossConfig {
             reply_miss_prob: miss,
@@ -397,14 +397,13 @@ proptest! {
         for alg in all_algorithms() {
             let (mut ch, _) = spec.build_with_truth();
             let mut rng = SmallRng::seed_from_u64(seed);
-            let report = alg.run_with_options(
+            let report = alg.run_with_profile(
                 &population(n),
                 t,
                 ch.as_mut(),
                 &mut rng,
-                ExecutionProfile::new()
-                    .with_retry(RetryPolicy::verified(retries))
-                    .options(),
+                ExecutionProfile::new().with_retry(RetryPolicy::verified(retries)),
+                &mut EngineScratch::new(),
             );
             report.assert_consistent();
         }
