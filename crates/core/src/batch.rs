@@ -87,10 +87,8 @@ impl EngineScratch {
 /// Drives many queries over one shared [`EngineScratch`].
 ///
 /// One runner serves one worker thread: construct it once, then call
-/// [`run`](Self::run) (or the policy-level entrypoints) per query. The
-/// runner's [`ExecutionProfile`] is the default for [`run`](Self::run)
-/// and [`run_policy`](Self::run_policy); per-query overrides go through
-/// [`run_with`](Self::run_with).
+/// [`run`](Self::run) or [`run_policy_encoded`](Self::run_policy_encoded)
+/// per query. Both run under the runner's [`ExecutionProfile`].
 ///
 /// ```
 /// use rand::rngs::SmallRng;
@@ -128,16 +126,6 @@ impl BatchRunner {
         }
     }
 
-    /// The runner's default execution profile.
-    pub fn profile(&self) -> ExecutionProfile {
-        self.profile
-    }
-
-    /// Replaces the runner's default execution profile.
-    pub fn set_profile(&mut self, profile: ExecutionProfile) {
-        self.profile = profile;
-    }
-
     /// The pooled buffers, for callers that thread the scratch through
     /// [`ThresholdQuerier::run_with_profile`] themselves.
     pub fn scratch(&mut self) -> &mut EngineScratch {
@@ -145,7 +133,7 @@ impl BatchRunner {
     }
 
     /// Runs one query through `querier` over the pooled scratch with the
-    /// runner's default profile. Bit-identical to
+    /// runner's profile. Bit-identical to
     /// [`ThresholdQuerier::run_with_profile`] over a fresh scratch.
     pub fn run<Q: ThresholdQuerier + ?Sized>(
         &mut self,
@@ -155,42 +143,7 @@ impl BatchRunner {
         channel: &mut dyn GroupQueryChannel,
         rng: &mut dyn RngCore,
     ) -> QueryReport {
-        let profile = self.profile;
-        self.run_with(profile, querier, nodes, t, channel, rng)
-    }
-
-    /// [`run`](Self::run) with a per-query profile override.
-    pub fn run_with<Q: ThresholdQuerier + ?Sized>(
-        &mut self,
-        profile: ExecutionProfile,
-        querier: &Q,
-        nodes: &[NodeId],
-        t: usize,
-        channel: &mut dyn GroupQueryChannel,
-        rng: &mut dyn RngCore,
-    ) -> QueryReport {
-        querier.run_with_profile(nodes, t, channel, rng, profile, &mut self.scratch)
-    }
-
-    /// Drives a bin-count policy directly (the engine-level entrypoint,
-    /// mirroring [`engine::drive`]) over the pooled scratch.
-    pub fn run_policy(
-        &mut self,
-        nodes: &[NodeId],
-        t: usize,
-        channel: ChannelMut<'_>,
-        rng: &mut dyn RngCore,
-        policy: impl FnMut(&Session, Option<&RoundStats>) -> usize,
-    ) -> QueryReport {
-        engine::drive_with_scratch(
-            nodes,
-            t,
-            channel,
-            rng,
-            self.profile,
-            &mut self.scratch,
-            policy,
-        )
+        querier.run_with_profile(nodes, t, channel, rng, self.profile, &mut self.scratch)
     }
 
     /// Drives a bin-count policy and appends the finished report to `out`

@@ -11,10 +11,10 @@
 //! 4. terminate **false** as soon as even an all-positive remainder could
 //!    not reach `t`.
 //!
-//! Bins that received zero member nodes during partitioning (possible when
-//! `|n| < b`) are skipped at no query cost — the paper's "empty bins are
-//! arranged at the end and never occupy a time slot" accounting (see
-//! DESIGN.md §3.3).
+//! A round asks for at most `|n|` bins, so every bin has at least one
+//! member and every bin costs a query. (The paper's model also lets
+//! `b > |n|` and counts the empty bins as free — DESIGN.md §3.3; this
+//! engine never builds one.)
 
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -244,8 +244,7 @@ impl Session {
     }
 
     /// Executes one round with `bins` bins. `bins` is clamped to
-    /// `[1, |remaining|]`; requesting more bins than nodes merely produces
-    /// free zero-member bins, so the clamp is behaviourally neutral.
+    /// `[1, |remaining|]`, so every bin has at least one member.
     ///
     /// A [`ChannelMut::Single`] channel is queried one bin at a time. A
     /// [`ChannelMut::Paired`] channel is queried two bins at a time (the
@@ -300,9 +299,7 @@ impl Session {
 
         for bin_idx in 0..bins {
             let size = size_of(bin_idx);
-            if size == 0 {
-                continue; // zero-member bin: free, per the paper's accounting
-            }
+            debug_assert!(size > 0, "the clamp leaves no bin empty");
             let members = &self.remaining[offset..offset + size];
             offset += size;
 
@@ -316,16 +313,10 @@ impl Session {
                     let obs = match pending.take() {
                         Some(obs) => obs,
                         None => {
-                            // Pair this bin with the next one. Bin sizes
-                            // never grow along the partition, so when the
-                            // next bin is missing or empty no bin with
-                            // members follows and this one goes alone.
-                            let next = if bin_idx + 1 < bins {
-                                size_of(bin_idx + 1)
-                            } else {
-                                0
-                            };
-                            if next > 0 {
+                            // Pair this bin with the next one; the last
+                            // bin of an odd count goes alone.
+                            if bin_idx + 1 < bins {
+                                let next = size_of(bin_idx + 1);
                                 self.queries += 2;
                                 stats.queried_bins += 2;
                                 let (a, b) =

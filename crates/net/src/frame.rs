@@ -718,12 +718,20 @@ impl std::error::Error for FrameReadError {}
 /// bytes and desynchronize the stream. This reader keeps the partial
 /// frame across calls: [`FrameReader::read_from`] returns `Ok(None)` on a
 /// timeout and resumes exactly where it left off next call.
+///
+/// Reads are greedy: each `read` asks for a whole chunk, not just the
+/// rest of the current frame, and bytes past the frame stay buffered for
+/// the next call. A frame that arrives in one segment therefore costs one
+/// `read`, and frames already buffered are returned without any.
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// Received bytes; `buf[start..]` is not yet returned as frames.
     buf: Vec<u8>,
-    /// Total frame size once the header is complete.
-    target: Option<usize>,
+    start: usize,
 }
+
+/// Bytes one `read` asks for.
+const READ_CHUNK: usize = 4096;
 
 impl FrameReader {
     /// A reader with no partial frame buffered.
@@ -731,18 +739,20 @@ impl FrameReader {
         Self::default()
     }
 
-    /// Bytes of the in-progress frame buffered so far.
+    /// Bytes received but not yet returned as frames: the in-progress
+    /// frame and, since reads are greedy, possibly bytes of the frames
+    /// after it.
     ///
     /// Comparing this across [`FrameReader::read_from`] calls lets an
     /// idle-timeout policy count partial-frame progress as activity: a
     /// peer trickling a large frame slower than the idle window is alive,
     /// not idle.
     pub fn buffered_len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
-    /// Pulls bytes from `r` until a full frame is assembled, the read
-    /// times out, or the transport fails.
+    /// Returns the next buffered frame, reading from `r` only when no
+    /// complete frame is buffered yet.
     ///
     /// Returns `Ok(Some((frame, wire_bytes)))` on a complete frame,
     /// `Ok(None)` when the read timed out mid-wait (idle tick; partial
@@ -753,56 +763,69 @@ impl FrameReader {
         r: &mut impl Read,
         max_payload: u32,
     ) -> Result<Option<(Frame, usize)>, FrameReadError> {
-        let target = match self.target {
-            Some(t) => t,
-            None => {
-                if self.buf.len() < HEADER_LEN && !self.fill_to(r, HEADER_LEN)? {
-                    return Ok(None);
+        loop {
+            if let Some(target) = self.buffered_frame_len(max_payload)? {
+                let end = self.start + target;
+                let frame = Frame::from_bytes(&self.buf[self.start..end], max_payload)
+                    .map_err(FrameReadError::Malformed)?;
+                self.start = end;
+                if self.start == self.buf.len() {
+                    self.buf.clear();
+                    self.start = 0;
                 }
-                // Validate the prefix before waiting on the payload, so
-                // garbage is rejected without stalling for bytes that
-                // will never come.
-                let magic: [u8; 4] = self.buf[0..4].try_into().unwrap();
-                if magic != MAGIC {
-                    return Err(FrameReadError::Malformed(MalformedFrame::BadMagic(magic)));
-                }
-                let len = u32::from_le_bytes(self.buf[14..18].try_into().unwrap());
-                if len > max_payload {
-                    return Err(FrameReadError::Malformed(MalformedFrame::Oversized {
-                        len,
-                        max: max_payload,
-                    }));
-                }
-                let t = HEADER_LEN + len as usize + TRAILER_LEN;
-                self.target = Some(t);
-                t
+                return Ok(Some((frame, target)));
             }
-        };
-        if self.buf.len() < target && !self.fill_to(r, target)? {
-            return Ok(None);
+            if !self.fill(r)? {
+                return Ok(None);
+            }
         }
-        let frame = Frame::from_bytes(&self.buf[..target], max_payload)
-            .map_err(FrameReadError::Malformed)?;
-        let wire_bytes = target;
-        self.buf.clear();
-        self.target = None;
-        Ok(Some((frame, wire_bytes)))
     }
 
-    /// Grows the buffer to `target` bytes. Returns `false` on a read
-    /// timeout (partial state kept), errors on EOF or transport failure.
-    fn fill_to(&mut self, r: &mut impl Read, target: usize) -> Result<bool, FrameReadError> {
-        let mut chunk = [0u8; 4096];
-        while self.buf.len() < target {
-            let want = (target - self.buf.len()).min(chunk.len());
-            match r.read(&mut chunk[..want]) {
+    /// The wire length of the frame at the head of the buffer once all of
+    /// it is buffered. The header is validated as soon as it is complete,
+    /// so garbage is rejected without stalling for payload bytes that
+    /// will never come.
+    fn buffered_frame_len(&self, max_payload: u32) -> Result<Option<usize>, FrameReadError> {
+        let head = &self.buf[self.start..];
+        if head.len() < HEADER_LEN {
+            return Ok(None);
+        }
+        let magic: [u8; 4] = head[0..4].try_into().unwrap();
+        if magic != MAGIC {
+            return Err(FrameReadError::Malformed(MalformedFrame::BadMagic(magic)));
+        }
+        let len = u32::from_le_bytes(head[14..18].try_into().unwrap());
+        if len > max_payload {
+            return Err(FrameReadError::Malformed(MalformedFrame::Oversized {
+                len,
+                max: max_payload,
+            }));
+        }
+        let target = HEADER_LEN + len as usize + TRAILER_LEN;
+        Ok((head.len() >= target).then_some(target))
+    }
+
+    /// One `read` of up to a chunk, appended to the buffer. Returns
+    /// `false` on a read timeout (partial state kept), errors on EOF or
+    /// transport failure.
+    fn fill(&mut self, r: &mut impl Read) -> Result<bool, FrameReadError> {
+        if self.start > 0 {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
+        let mut chunk = [0u8; READ_CHUNK];
+        loop {
+            match r.read(&mut chunk) {
                 Ok(0) => {
                     return Err(FrameReadError::Io(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
                         "connection closed mid-frame",
                     )))
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    self.buf.extend_from_slice(&chunk[..n]);
+                    return Ok(true);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
@@ -813,7 +836,6 @@ impl FrameReader {
                 Err(e) => return Err(FrameReadError::Io(e)),
             }
         }
-        Ok(true)
     }
 }
 
@@ -1049,6 +1071,75 @@ mod tests {
         assert_eq!(got_a, a);
         assert_eq!(got_b, b);
         assert_eq!(n_b, HEADER_LEN + TRAILER_LEN, "goodbye has no payload");
+    }
+
+    #[test]
+    fn one_read_per_frame_that_fits_the_chunk() {
+        // A socket stand-in delivering one segment per `read` and
+        // `WouldBlock` once it has none left, counting the calls.
+        struct Segments {
+            segments: std::collections::VecDeque<Vec<u8>>,
+            reads: usize,
+        }
+        impl Read for Segments {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.reads += 1;
+                let Some(mut seg) = self.segments.pop_front() else {
+                    return Err(io::ErrorKind::WouldBlock.into());
+                };
+                let n = seg.len().min(buf.len());
+                buf[..n].copy_from_slice(&seg[..n]);
+                if n < seg.len() {
+                    self.segments.push_front(seg.split_off(n));
+                }
+                Ok(n)
+            }
+        }
+        let frames = [
+            Frame::Submit {
+                request_id: 1,
+                job: sample_job(),
+            },
+            Frame::JobOk {
+                request_id: 1,
+                report: QueryReport::trivial(true),
+            },
+            Frame::Goodbye,
+        ];
+        let mut src = Segments {
+            segments: frames.iter().map(Frame::to_bytes).collect(),
+            reads: 0,
+        };
+        let mut reader = FrameReader::new();
+        for (i, frame) in frames.iter().enumerate() {
+            let (got, _) = reader
+                .read_from(&mut src, DEFAULT_MAX_PAYLOAD)
+                .unwrap()
+                .unwrap();
+            assert_eq!(&got, frame);
+            assert_eq!(src.reads, i + 1, "one read per frame");
+        }
+
+        // All three in one segment: one read, then two frames served
+        // from the buffer without touching the socket.
+        let mut src = Segments {
+            segments: [frames.iter().flat_map(Frame::to_bytes).collect()].into(),
+            reads: 0,
+        };
+        let mut reader = FrameReader::new();
+        for frame in &frames {
+            let (got, _) = reader
+                .read_from(&mut src, DEFAULT_MAX_PAYLOAD)
+                .unwrap()
+                .unwrap();
+            assert_eq!(&got, frame);
+            assert_eq!(src.reads, 1);
+        }
+        assert_eq!(reader.buffered_len(), 0);
+        assert!(reader
+            .read_from(&mut src, DEFAULT_MAX_PAYLOAD)
+            .unwrap()
+            .is_none());
     }
 
     #[test]

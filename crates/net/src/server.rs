@@ -14,15 +14,24 @@
 //! connections cost file descriptors and a few hundred bytes each, not
 //! stacks.
 //!
-//! Responses are produced by completion watchers running on the
-//! service's workers. A watcher serializes the response straight into
-//! its connection's outbound byte buffer — a `JobOk` is encoded from
-//! the borrowed report via [`Frame::encode_job_ok_into`], so the report
-//! is never cloned into an owned frame — and rings the I/O thread's
-//! doorbell ([`crate::reactor::Waker`]); the reactor hands the bytes to
-//! the connection's write buffer (a buffer swap when the write buffer
-//! is drained) and arms write-interest. Results stream back in
-//! *completion* order, matched by request id, never by arrival order.
+//! A job runs on one of two paths. When a poll iteration decodes
+//! exactly one `Submit` across all of the thread's connections, the
+//! service queue is empty and the job is small (population at most
+//! 256), the I/O thread runs it to completion itself through
+//! [`QueryService::run_inline`] and encodes the response straight into
+//! the connection's write buffer, flushed just before the thread polls
+//! again — no thread handoff at all. Every other job — a
+//! pipelined burst, one arriving behind queued work, a large one — goes
+//! to the service queue, so none overtakes the DRR rotation. Its
+//! response comes from a completion watcher on the service's worker: the
+//! watcher serializes it into the connection's outbound byte buffer and
+//! rings the I/O thread's doorbell ([`crate::reactor::Waker`]); the
+//! reactor hands the bytes to the connection's write buffer (a buffer
+//! swap when the write buffer is drained) and arms write-interest. On
+//! both paths a `JobOk` is encoded from the borrowed report via
+//! [`Frame::encode_job_ok_into`], never cloned into an owned frame.
+//! Results stream back in *completion* order, matched by request id,
+//! never by arrival order.
 //!
 //! Backpressure is explicit at both edges. Inbound, a full service
 //! queue or in-flight window answers the request with an
@@ -48,7 +57,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use tcast_service::{JobError, JobOutput, NetCounters, QueryService, SubmitError, SubmitOptions};
+use tcast::EngineScratch;
+use tcast_service::{
+    JobError, JobOutput, JobResult, NetCounters, QueryJob, QueryService, SubmitError, SubmitOptions,
+};
 use tcast_tenant::{TenantId, TenantRegistry};
 
 use tcast_obs::{TraceCollector, TraceCollectorConfig};
@@ -189,6 +201,11 @@ const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(500);
 /// bytes sit before the unsent tail, the buffer is compacted.
 const WBUF_COMPACT_AT: usize = 64 * 1024;
 
+/// Largest population (`channel.n`) a job may have to run inline on an
+/// I/O thread. A session's cost grows with `n`; below this it takes a
+/// few microseconds, far less than the two thread handoffs it saves.
+const INLINE_MAX_N: usize = 256;
+
 /// A TCP front-end serving one [`QueryService`] to remote clients.
 ///
 /// Dropping the server performs the same graceful drain as
@@ -254,6 +271,9 @@ impl NetServer {
                 inbox: inbox.clone(),
                 tenants: service.tenant_registry(),
                 service: service.clone(),
+                scratch: EngineScratch::new(),
+                lone: None,
+                submits: 0,
                 collector: collector.clone(),
                 config,
                 shutdown: shutdown.clone(),
@@ -437,6 +457,15 @@ fn queue_frame(counters: &NetCounters, conn: &mut Conn, frame: &Frame) {
     counters.frame_out((conn.wbuf.len() - before) as u64);
 }
 
+/// A decoded `Submit`, already counted in its connection's in-flight
+/// window, whose route (inline or a worker) is not yet decided.
+struct Admitted {
+    slot: usize,
+    request_id: u64,
+    job: QueryJob,
+    shared: Arc<ConnShared>,
+}
+
 /// One reactor thread: owns a slab of connections and multiplexes them
 /// through `poll(2)` readiness.
 struct IoThread {
@@ -445,6 +474,14 @@ struct IoThread {
     live: usize,
     inbox: Arc<Inbox>,
     service: Arc<QueryService>,
+    /// Engine buffers for jobs this thread runs inline.
+    scratch: EngineScratch,
+    /// The poll iteration's first `Submit`, held back until every ready
+    /// connection has been read: it runs inline only if it stays the
+    /// only one.
+    lone: Option<Admitted>,
+    /// `Submit` frames decoded in the current poll iteration.
+    submits: usize,
     /// The wrapped service's tenant registry, if any. Present ⇒ every
     /// connection must pass the `Auth` challenge before submitting.
     tenants: Option<Arc<TenantRegistry>>,
@@ -481,6 +518,12 @@ impl IoThread {
 
             self.sweep();
 
+            // Settled after the sweep, so writing the response is the
+            // last work this thread does before it polls again.
+            if let Some(lone) = self.lone.take() {
+                self.run_lone(lone);
+            }
+
             if self.shutdown.load(Ordering::SeqCst)
                 && self.live == 0
                 && self.inbox.acceptor_done.load(Ordering::Acquire)
@@ -505,6 +548,7 @@ impl IoThread {
             if pollfds[0].is_readable() {
                 self.inbox.waker.drain();
             }
+            self.submits = 0;
             for i in 1..pollfds.len() {
                 if !pollfds[i].is_ready() {
                     continue;
@@ -885,46 +929,97 @@ impl IoThread {
         }
     }
 
-    fn submit(
-        &mut self,
-        slot: usize,
-        request_id: u64,
-        job: tcast_service::QueryJob,
-        shared: Arc<ConnShared>,
-    ) {
-        // Count the job before the pool can complete it; the watcher
-        // decrements only after the response frame is queued, so drain
-        // never closes the connection underneath a pending response.
+    /// Takes a decoded `Submit` into the connection's in-flight window.
+    /// The iteration's first one is held back for [`Self::run_lone`];
+    /// a second one sends both to the service queue in arrival order, so
+    /// a pipelined burst still fans out to the workers.
+    fn submit(&mut self, slot: usize, request_id: u64, job: QueryJob, shared: Arc<ConnShared>) {
+        // Count the job before the pool can complete it; the response
+        // path decrements only after the response frame is queued, so
+        // drain never closes the connection underneath a pending response.
         shared.inflight.fetch_add(1, Ordering::AcqRel);
+        let admitted = Admitted {
+            slot,
+            request_id,
+            job,
+            shared,
+        };
+        self.submits += 1;
+        if self.submits == 1 {
+            self.lone = Some(admitted);
+            return;
+        }
+        if let Some(first) = self.lone.take() {
+            self.enqueue(first);
+        }
+        self.enqueue(admitted);
+    }
+
+    /// Settles the poll iteration's only `Submit`. While the service
+    /// queue is empty and the job is small, this thread runs it to
+    /// completion and writes the response itself — no worker wake-up,
+    /// no watcher, no doorbell. Otherwise it queues like any other job,
+    /// so no tenant ever jumps the DRR rotation.
+    fn run_lone(&mut self, admitted: Admitted) {
+        if admitted.job.channel.n > INLINE_MAX_N || self.service.queued_jobs() > 0 {
+            self.enqueue(admitted);
+            return;
+        }
+        let Admitted {
+            slot,
+            request_id,
+            job,
+            shared,
+        } = admitted;
+        let trace = job.trace;
+        match self.service.run_inline(job, &mut self.scratch) {
+            Ok(result) => {
+                tcast_obs::event(trace, "net.respond", &[("request_id", request_id)]);
+                shared.inflight.fetch_sub(1, Ordering::AcqRel);
+                let Some(conn) = self.conns[slot]
+                    .as_mut()
+                    .filter(|c| Arc::ptr_eq(&c.shared, &shared))
+                else {
+                    return;
+                };
+                let written = encode_result(&mut conn.wbuf, request_id, &result);
+                self.counters.frame_out(written as u64);
+                if conn.pending_writes() > self.config.max_pending_writes {
+                    self.close(slot);
+                } else {
+                    self.flush(slot);
+                }
+            }
+            Err(e) => {
+                self.rejected(slot, request_id, &shared, e);
+                self.flush(slot);
+            }
+        }
+    }
+
+    /// Hands an admitted job to the service queue; a completion watcher
+    /// on the worker serializes its response and rings this thread's
+    /// doorbell.
+    fn enqueue(&mut self, admitted: Admitted) {
+        let Admitted {
+            slot,
+            request_id,
+            job,
+            shared,
+        } = admitted;
         let trace = job.trace;
         let watcher = {
             let shared = shared.clone();
             let inbox = self.inbox.clone();
             let counters = self.counters.clone();
-            Arc::new(move |_index: usize, result: &tcast_service::JobResult| {
+            Arc::new(move |_index: usize, result: &JobResult| {
                 tcast_obs::event(trace, "net.respond", &[("request_id", request_id)]);
                 if !shared.closed.load(Ordering::Acquire) {
                     // Serialize straight into the shared outbound buffer:
                     // a report is encoded borrowed, never cloned into an
                     // owned frame on the worker's completion path.
-                    let mut out = shared.outbound.lock();
-                    let before = out.len();
-                    match result {
-                        Ok(JobOutput::Report(report)) => {
-                            Frame::encode_job_ok_into(&mut out, request_id, report);
-                        }
-                        Ok(other) => Frame::JobFailed {
-                            request_id,
-                            error: JobError::Panicked(format!("non-report job output: {other:?}")),
-                        }
-                        .encode_into(&mut out),
-                        Err(e) => Frame::JobFailed {
-                            request_id,
-                            error: e.clone(),
-                        }
-                        .encode_into(&mut out),
-                    }
-                    counters.frame_out((out.len() - before) as u64);
+                    let written = encode_result(&mut shared.outbound.lock(), request_id, result);
+                    counters.frame_out(written as u64);
                 }
                 shared.inflight.fetch_sub(1, Ordering::AcqRel);
                 if shared
@@ -937,38 +1032,34 @@ impl IoThread {
                 inbox.waker.wake();
             })
         };
-        match self.service.submit_with(
+        if let Err(e) = self.service.submit_with(
             vec![job],
             SubmitOptions::new().nonblocking().watched(watcher),
         ) {
-            Ok(_batch) => {} // responses flow through the watcher
-            Err(SubmitError::QueueFull(_)) => {
-                shared.inflight.fetch_sub(1, Ordering::AcqRel);
+            self.rejected(slot, request_id, &shared, e);
+        }
+    }
+
+    /// Answers a job the service refused and takes it back out of the
+    /// connection's in-flight window.
+    fn rejected(&mut self, slot: usize, request_id: u64, shared: &ConnShared, e: SubmitError) {
+        shared.inflight.fetch_sub(1, Ordering::AcqRel);
+        let frame = match e {
+            SubmitError::QueueFull(_) => {
                 self.counters.busy_rejection();
-                if let Some(conn) = self.conns[slot].as_mut() {
-                    let frame = busy(request_id, "service admission queue full");
-                    queue_frame(&self.counters, conn, &frame);
-                }
+                busy(request_id, "service admission queue full")
             }
-            Err(SubmitError::QuotaExceeded(_)) => {
-                // The service already counted the rejection per tenant;
-                // answer with a typed job failure rather than Busy so the
-                // client can tell "slow down" from "queue full".
-                shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                if let Some(conn) = self.conns[slot].as_mut() {
-                    let frame = Frame::JobFailed {
-                        request_id,
-                        error: JobError::QuotaExceeded,
-                    };
-                    queue_frame(&self.counters, conn, &frame);
-                }
-            }
-            Err(SubmitError::Closed(_)) => {
-                shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                if let Some(conn) = self.conns[slot].as_mut() {
-                    queue_frame(&self.counters, conn, &shutting_down(request_id));
-                }
-            }
+            // The service already counted the rejection per tenant;
+            // answer with a typed job failure rather than Busy so the
+            // client can tell "slow down" from "queue full".
+            SubmitError::QuotaExceeded(_) => Frame::JobFailed {
+                request_id,
+                error: JobError::QuotaExceeded,
+            },
+            SubmitError::Closed(_) => shutting_down(request_id),
+        };
+        if let Some(conn) = self.conns[slot].as_mut() {
+            queue_frame(&self.counters, conn, &frame);
         }
     }
 
@@ -1092,6 +1183,27 @@ fn accept_loop(
         inbox.acceptor_done.store(true, Ordering::Release);
         inbox.waker.wake();
     }
+}
+
+/// Appends the response frame for a finished job to `out` and returns
+/// its wire length. A report is encoded borrowed, never cloned into an
+/// owned frame.
+fn encode_result(out: &mut Vec<u8>, request_id: u64, result: &JobResult) -> usize {
+    let before = out.len();
+    match result {
+        Ok(JobOutput::Report(report)) => Frame::encode_job_ok_into(out, request_id, report),
+        Ok(other) => Frame::JobFailed {
+            request_id,
+            error: JobError::Panicked(format!("non-report job output: {other:?}")),
+        }
+        .encode_into(out),
+        Err(e) => Frame::JobFailed {
+            request_id,
+            error: e.clone(),
+        }
+        .encode_into(out),
+    }
+    out.len() - before
 }
 
 fn busy(request_id: u64, detail: &str) -> Frame {

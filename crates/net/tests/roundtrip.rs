@@ -218,6 +218,175 @@ proptest! {
     }
 }
 
+/// What decoding a byte stream yields, frame by frame, up to the first
+/// failure.
+#[derive(Debug, PartialEq)]
+enum Decoded {
+    Frame(Box<Frame>, usize),
+    Malformed(MalformedFrame),
+    /// The stream ended, cleanly or mid-frame.
+    Eof,
+}
+
+/// The one-shot reference: cut the stream where each header's length
+/// says the frame ends and hand each whole frame to `from_bytes`. The
+/// header prefix is judged as the reader judges it, as soon as it is
+/// complete, so a corrupted length field moves the cut exactly as it
+/// would for any stream decoder.
+fn decode_one_shot(stream: &[u8], max_payload: u32) -> Vec<Decoded> {
+    let mut out = Vec::new();
+    let mut pos = 0;
+    loop {
+        let rest = &stream[pos..];
+        if rest.len() < HEADER_LEN {
+            out.push(Decoded::Eof);
+            return out;
+        }
+        let magic: [u8; 4] = rest[0..4].try_into().unwrap();
+        if magic != tcast_net::frame::MAGIC {
+            out.push(Decoded::Malformed(MalformedFrame::BadMagic(magic)));
+            return out;
+        }
+        let len = u32::from_le_bytes(rest[14..18].try_into().unwrap());
+        if len > max_payload {
+            out.push(Decoded::Malformed(MalformedFrame::Oversized {
+                len,
+                max: max_payload,
+            }));
+            return out;
+        }
+        let total = HEADER_LEN + len as usize + TRAILER_LEN;
+        if rest.len() < total {
+            out.push(Decoded::Eof);
+            return out;
+        }
+        match Frame::from_bytes(&rest[..total], max_payload) {
+            Ok(frame) => out.push(Decoded::Frame(Box::new(frame), total)),
+            Err(m) => {
+                out.push(Decoded::Malformed(m));
+                return out;
+            }
+        }
+        pos += total;
+    }
+}
+
+/// A non-blocking socket stand-in: hands out `bytes` in pieces of the
+/// given sizes (cycled, capped by the caller's buffer), and reports
+/// `WouldBlock` between pieces when `stall` is set.
+struct Chunked<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    cuts: &'a [usize],
+    next: usize,
+    stall: bool,
+    stalled: bool,
+}
+
+impl std::io::Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.stall && !self.stalled && self.pos < self.bytes.len() {
+            self.stalled = true;
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        self.stalled = false;
+        let cut = self.cuts[self.next % self.cuts.len()];
+        self.next += 1;
+        let take = cut.min(buf.len()).min(self.bytes.len() - self.pos);
+        buf[..take].copy_from_slice(&self.bytes[self.pos..self.pos + take]);
+        self.pos += take;
+        Ok(take)
+    }
+}
+
+fn want_len(decoded: &Decoded) -> usize {
+    match decoded {
+        Decoded::Frame(_, n) => *n,
+        _ => unreachable!("only frames precede the end"),
+    }
+}
+
+/// Drives a fresh `FrameReader` over `src` until EOF or the first error.
+fn decode_streaming(src: &mut impl std::io::Read, max_payload: u32) -> Vec<Decoded> {
+    let mut reader = FrameReader::new();
+    let mut out = Vec::new();
+    loop {
+        match reader.read_from(src, max_payload) {
+            Ok(Some((frame, n))) => out.push(Decoded::Frame(Box::new(frame), n)),
+            Ok(None) => continue,
+            Err(tcast_net::FrameReadError::Malformed(m)) => {
+                out.push(Decoded::Malformed(m));
+                return out;
+            }
+            Err(tcast_net::FrameReadError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}");
+                out.push(Decoded::Eof);
+                return out;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Several frames back to back, split at arbitrary byte boundaries —
+    /// reads ending mid-header, reads spanning frame boundaries — decode
+    /// to exactly the one-shot frames and wire sizes. With one byte
+    /// flipped anywhere, the frames before it still decode and the first
+    /// error is the one-shot error.
+    #[test]
+    fn chunked_streams_decode_like_one_shot(
+        seed in any::<u64>(),
+        knobs in any::<u64>(),
+        cuts in proptest::collection::vec(1usize..96, 1..24),
+        stall in any::<bool>(),
+        flip_frac in 0usize..=1000,
+        flip in 0u8..=255,
+    ) {
+        let frames = all_frames(seed, 64, 50, 8, knobs, "chunked".into());
+        let mut stream = Vec::new();
+        for frame in &frames {
+            frame.encode_into(&mut stream);
+        }
+        let max = DEFAULT_MAX_PAYLOAD;
+
+        let clean = decode_one_shot(&stream, max);
+        let mut want: Vec<Decoded> = frames
+            .iter()
+            .map(|f| Decoded::Frame(Box::new(f.clone()), f.to_bytes().len()))
+            .collect();
+        want.push(Decoded::Eof);
+        prop_assert_eq!(&clean, &want);
+        let mut src = Chunked { bytes: &stream, pos: 0, cuts: &cuts, next: 0, stall, stalled: false };
+        prop_assert_eq!(decode_streaming(&mut src, max), clean);
+
+        // A zero `flip` leaves the stream intact: covered above.
+        let pos = (stream.len() - 1) * flip_frac / 1000;
+        stream[pos] ^= flip;
+        let corrupted = decode_one_shot(&stream, max);
+        if flip != 0 {
+            // Outside the length field the frame keeps its extent, so the
+            // error is `from_bytes`' own on that frame's bytes.
+            let mut start = 0;
+            let mut k = 0;
+            while start + want_len(&want[k]) <= pos {
+                start += want_len(&want[k]);
+                k += 1;
+            }
+            if !(14..18).contains(&(pos - start)) {
+                let end = start + want_len(&want[k]);
+                let err = Frame::from_bytes(&stream[start..end], max).unwrap_err();
+                want.truncate(k);
+                want.push(Decoded::Malformed(err));
+                prop_assert_eq!(&corrupted, &want);
+            }
+        }
+        let mut src = Chunked { bytes: &stream, pos: 0, cuts: &cuts, next: 0, stall, stalled: false };
+        prop_assert_eq!(decode_streaming(&mut src, max), corrupted);
+    }
+}
+
 #[test]
 fn corrupted_crc_trailer_is_rejected_as_bad_crc() {
     let frame = Frame::Submit {

@@ -30,6 +30,11 @@
 //! [`JobError::Panicked`] in its own slot without taking down the worker
 //! or the rest of the batch. Shutdown drains the queue: workers keep
 //! claiming until no unit remains, then exit.
+//!
+//! [`QueryService::run_inline`] runs one job on the caller's thread
+//! through the same admission checks and the same execute body as a
+//! worker; the network front-end uses it for a lone small job when the
+//! queue is empty.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -530,14 +535,8 @@ impl QueryService {
         jobs: Vec<QueryJob>,
         options: SubmitOptions,
     ) -> Result<Batch, SubmitError> {
-        if let Some(reg) = &self.inner.tenants {
-            if let Err(tenant) = charge_quotas(reg, &jobs) {
-                self.inner
-                    .metrics
-                    .record_quota_rejections(reg.name_of(tenant), jobs.len() as u64);
-                tcast_obs::event_current("service.quota_rejected", &[("tenant", tenant.0 as u64)]);
-                return Err(SubmitError::QuotaExceeded(jobs));
-            }
+        if !self.charge(&jobs) {
+            return Err(SubmitError::QuotaExceeded(jobs));
         }
         // The batch's scheduling lane (tenant + priority band) comes
         // from its first job; the network tier submits one job per
@@ -553,21 +552,80 @@ impl QueryService {
                 lane,
             )
             .map_err(Self::submit_error);
-        if let (Err(err), Some(reg)) = (&result, &self.inner.tenants) {
+        if let Err(
+            SubmitError::QueueFull(jobs)
+            | SubmitError::Closed(jobs)
+            | SubmitError::QuotaExceeded(jobs),
+        ) = &result
+        {
             // Rejected after admission: return the in-flight slots the
             // quota charge took.
-            let jobs = match err {
-                SubmitError::QueueFull(jobs)
-                | SubmitError::Closed(jobs)
-                | SubmitError::QuotaExceeded(jobs) => jobs,
-            };
-            for job in jobs {
-                if let Some(t) = job.tenant {
-                    reg.release(t, 1);
-                }
-            }
+            self.release(jobs);
         }
         result
+    }
+
+    /// Runs one query job to completion on the calling thread instead of
+    /// queueing it. Admission is [`submit_with`](Self::submit_with)'s —
+    /// tenant quotas are charged first, then a shutting-down service
+    /// refuses with [`SubmitError::Closed`] — and execution is the
+    /// worker's own body, so the deadline check, `service.execute` span,
+    /// session cache, panic isolation, metrics and quota release are
+    /// exactly those of a queued job with zero queue wait.
+    ///
+    /// The job never enters the queue, so it overtakes any job waiting
+    /// there: call this only when [`queued_jobs`](Self::queued_jobs) is
+    /// 0, as the network front-end does for a lone small job.
+    pub fn run_inline(
+        &self,
+        job: QueryJob,
+        scratch: &mut EngineScratch,
+    ) -> Result<JobResult, SubmitError> {
+        let submitted_at = Instant::now();
+        let jobs = std::slice::from_ref(&job);
+        if !self.charge(jobs) {
+            return Err(SubmitError::QuotaExceeded(vec![job]));
+        }
+        if self.inner.state.lock().shutdown {
+            self.release(jobs);
+            return Err(SubmitError::Closed(vec![job]));
+        }
+        Ok(run_payload(
+            &self.inner,
+            Payload::Query(job),
+            submitted_at,
+            scratch,
+        ))
+    }
+
+    /// Charges the jobs' tenant quotas (see [`charge_quotas`]). A
+    /// rejection is counted against the offending tenant and `false`
+    /// comes back with nothing left charged.
+    fn charge(&self, jobs: &[QueryJob]) -> bool {
+        let Some(reg) = &self.inner.tenants else {
+            return true;
+        };
+        let Err(tenant) = charge_quotas(reg, jobs) else {
+            return true;
+        };
+        self.inner
+            .metrics
+            .record_quota_rejections(reg.name_of(tenant), jobs.len() as u64);
+        tcast_obs::event_current("service.quota_rejected", &[("tenant", tenant.0 as u64)]);
+        false
+    }
+
+    /// Returns the in-flight slots [`Self::charge`] took for jobs that
+    /// were then refused.
+    fn release(&self, jobs: &[QueryJob]) {
+        let Some(reg) = &self.inner.tenants else {
+            return;
+        };
+        for job in jobs {
+            if let Some(t) = job.tenant {
+                reg.release(t, 1);
+            }
+        }
     }
 
     /// Submits a batch of query jobs, blocking while the admission queue
@@ -818,13 +876,37 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, scratch: &mut EngineScr
         .lock()
         .take()
         .expect("each slot is claimed exactly once");
+    let result = run_payload(inner, payload, unit.submitted_at, scratch);
+    // Invoke the watcher before publishing to the result board, so a
+    // callback that triggers a response cannot race a `wait()` caller
+    // into observing completion twice. A panicking watcher must not take
+    // the worker (or the batch's remaining jobs) down with it.
+    if let Some(watcher) = &unit.watcher {
+        let _ = catch_unwind(AssertUnwindSafe(|| watcher(index, &result)));
+    }
+    let mut rs = unit.results.lock();
+    rs.slots[index] = Some(result);
+    rs.completed += 1;
+    unit.done.notify_all();
+}
+
+/// The one execute body, shared by the worker claim loop and
+/// [`QueryService::run_inline`]: deadline check (queue wait runs from
+/// `submitted_at`), `service.execute` span, session cache,
+/// `catch_unwind`, metrics, and the tenant quota release.
+fn run_payload(
+    inner: &Inner,
+    payload: Payload,
+    submitted_at: Instant,
+    scratch: &mut EngineScratch,
+) -> JobResult {
     let started = Instant::now();
     let (label, result) = match payload {
         Payload::Query(job) => {
             let label = job.algorithm.name().to_string();
             // Queue wait = submission to execution start; measured once so
             // the deadline check and the trace agree on the number.
-            let queue_wait = unit.submitted_at.elapsed();
+            let queue_wait = submitted_at.elapsed();
             let queue_wait_us = queue_wait.as_micros() as u64;
             // The job's span context (when the submitter propagated
             // one) parents this span under the submitter's own — e.g.
@@ -875,17 +957,7 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, scratch: &mut EngineScr
         }
     };
     inner.metrics.record(&label, &result, started.elapsed());
-    // Invoke the watcher before publishing to the result board, so a
-    // callback that triggers a response cannot race a `wait()` caller
-    // into observing completion twice. A panicking watcher must not take
-    // the worker (or the batch's remaining jobs) down with it.
-    if let Some(watcher) = &unit.watcher {
-        let _ = catch_unwind(AssertUnwindSafe(|| watcher(index, &result)));
-    }
-    let mut rs = unit.results.lock();
-    rs.slots[index] = Some(result);
-    rs.completed += 1;
-    unit.done.notify_all();
+    result
 }
 
 /// Runs one query job, consulting the session cache when configured.
